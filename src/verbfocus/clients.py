@@ -21,10 +21,9 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Protocol
 
 log = logging.getLogger(__name__)
 
@@ -49,7 +48,6 @@ class CompletionClientConfig:
     timeout: float = 30.0
     max_retries: int = 3
     cache_dir: str | None = None
-    max_in_flight: int = 4
 
 
 class ClientError(RuntimeError):
@@ -149,9 +147,6 @@ class HttpTransport:
         )
         resp.raise_for_status()
         return resp.json()
-
-
-_LAST_INPUT = re.compile(r"Input: (.*)\n(?:Outputs?:)\s*$", re.DOTALL)
 
 
 def final_input_line(prompt: str) -> str:
@@ -289,10 +284,3 @@ class CachedFillMaskClient:
         self.cache.put(digest, {"fills": fills})
         return fills
 
-
-def map_bounded(fn: Callable, items: Sequence, max_in_flight: int) -> list:
-    """Apply ``fn`` over items with bounded concurrency, output in input order."""
-    if max_in_flight <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        return list(pool.map(fn, items))

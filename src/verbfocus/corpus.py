@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .text import is_normalized, normalize_text
+from .text import has_tokens, is_normalized, normalize_text
 
 SPLITS = ("train", "val", "test")
 GENERATION_KINDS = ("hard_negative", "positive_paraphrase")
@@ -175,8 +175,18 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     Path(path).write_text(body, encoding="utf-8", newline="\n")
 
 
+def _require_tokens(text: str, what: str) -> None:
+    # The encoders cannot embed a text without tokens; reject it at load time
+    # rather than mid-training. Verb phrases are normalized, so never empty.
+    if not has_tokens(text):
+        raise CorpusError(f"{what} has no tokens: {text!r}")
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Parse and validate a manifest file; errors name the offending line."""
+    """Parse and validate a manifest file; errors name the offending line.
+
+    Caption and generation texts must have at least one token.
+    """
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"manifest not found: {path}")
@@ -207,6 +217,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                 manifest.videos.append(VideoRecord(obj["video_id"], obj["split"]))
             elif kind == "caption":
                 _require(obj, ("video_id", "text", "split", "verb_phrases"), where)
+                _require_tokens(obj["text"], "caption text")
                 manifest.captions.append(
                     CaptionRecord(
                         obj["video_id"],
@@ -229,6 +240,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                     ),
                     where,
                 )
+                _require_tokens(obj["text"], "generation text")
                 manifest.generations.append(
                     GeneratedCaption(
                         obj["parent_video_id"],

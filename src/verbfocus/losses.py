@@ -1,14 +1,16 @@
 """Contrastive losses over paired unit embeddings, with analytic gradients.
 
-All variants share one row primitive: a positive logit against a set of
-negative logits at temperature sigma, evaluated with max-subtracted
-log-sum-exp. The caption-side denominator is what distinguishes variants:
+Every term is one masked InfoNCE over a similarity matrix of anchor rows
+against candidate columns at temperature sigma: row i scores its positive
+column against the columns its negative mask switches on, evaluated with a
+max-subtracted log-sum-exp. The terms differ only in candidates and mask:
 
-  t2v          caption anchors over the batch videos
-  v2t          video anchors over the batch captions
-  hn           v2t plus every batch item's generated negatives in each row
-  chn          v2t plus only the anchor's own generated negatives
-  verb_phrase  video anchors over per-item verb-phrase embeddings
+  t2v          caption anchors over the batch videos; off-diagonal
+  v2t          video anchors over the batch captions; off-diagonal
+  hn           v2t over [captions; all negatives]; every negative column on
+  chn          the same candidates; only the row's own negatives on
+  verb_phrase  member videos over member phrases; off-diagonal ("both" adds
+               member phrases over all batch videos; every other video on)
 
 The optional hard-negative weighting reweights negative denominator terms in
 proportion to softmax(beta * sim / sigma), scaled to sum to the negative
@@ -135,50 +137,6 @@ class LossOutput:
     grads: LossGrads
 
 
-def _row_standard(p: float, s: np.ndarray, sigma: float):
-    """Loss and d/dsim for one row: -p/sigma + lse([p, s]/sigma)."""
-    logits = np.concatenate(([p], s)) / sigma
-    m = logits.max()
-    ex = np.exp(logits - m)
-    z = ex.sum()
-    loss = -p / sigma + (m + np.log(z))
-    post = ex / z
-    return loss, (post[0] - 1.0) / sigma, post[1:] / sigma
-
-
-def _row_hardneg(p: float, s: np.ndarray, sigma: float, alpha: float, beta: float):
-    """Row with similarity-weighted negatives; weights sum to the count.
-
-    Denominator: alpha*e^{p/sigma} + sum_j w_j e^{s_j/sigma} with
-    w_j = n * softmax(beta*s/sigma)_j. Differentiated through the weights.
-    """
-    n = s.size
-    pos_logterm = np.log(alpha) + p / sigma
-    if n == 0:
-        return -p / sigma + pos_logterm, 0.0, np.zeros(0)
-    w_logits = beta * s / sigma
-    mw = w_logits.max()
-    logw = mw + np.log(np.exp(w_logits - mw).sum())
-    neg_logterms = np.log(n) + (1.0 + beta) * s / sigma - logw
-    terms = np.concatenate(([pos_logterm], neg_logterms))
-    m = terms.max()
-    ex = np.exp(terms - m)
-    z = ex.sum()
-    loss = -p / sigma + (m + np.log(z))
-    post_pos = ex[0] / z
-    q = ex[1:] / z
-    r = np.exp(w_logits - logw)
-    dp = (post_pos - 1.0) / sigma
-    ds = ((1.0 + beta) * q - beta * q.sum() * r) / sigma
-    return loss, dp, ds
-
-
-def _row(p: float, s: np.ndarray, cfg: LossConfig):
-    if cfg.nce_mode == "hardneg_nce":
-        return _row_hardneg(p, s, cfg.sigma, cfg.alpha, cfg.beta)
-    return _row_standard(p, s, cfg.sigma)
-
-
 def hardneg_nce_weights(neg_sims: np.ndarray, cfg: LossConfig) -> np.ndarray:
     """Per-negative weights: n * softmax(beta * sims / sigma); sum equals n."""
     s = np.asarray(neg_sims, dtype=np.float64)
@@ -190,112 +148,112 @@ def hardneg_nce_weights(neg_sims: np.ndarray, cfg: LossConfig) -> np.ndarray:
     return s.size * ex / ex.sum()
 
 
-def _pair_loss(batch: BatchTensors, cfg: LossConfig, anchor_videos: bool, term: str) -> LossOutput:
-    """In-batch InfoNCE in one direction; shared by t2v and v2t."""
-    B = batch.batch_size
-    a = batch.video if anchor_videos else batch.caption
-    b = batch.caption if anchor_videos else batch.video
-    sims = a @ b.T
-    dsims = np.zeros_like(sims)
-    total = 0.0
-    idx = np.arange(B)
-    for i in range(B):
-        mask = idx != i
-        loss, dp, ds = _row(sims[i, i], sims[i, mask], cfg)
-        total += loss
-        dsims[i, i] = dp
-        dsims[i, mask] = ds
-    total /= B
-    dsims /= B
-    grads = LossGrads.zeros_like(batch)
-    ga = dsims @ b
-    gb = dsims.T @ a
-    if anchor_videos:
-        grads.video, grads.caption = ga, gb
-    else:
-        grads.caption, grads.video = ga, gb
-    return LossOutput(total, {term: total}, grads)
+def _softmax_rows(x: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Row softmax of x in place with the off entries left out (they get 0);
+    returns each row's log-sum-exp as a column."""
+    np.copyto(x, -np.inf, where=off)
+    m = x.max(axis=1, keepdims=True)
+    x -= m
+    np.exp(x, out=x)
+    z = x.sum(axis=1, keepdims=True)
+    x /= z
+    return m + np.log(z)
+
+
+def _masked_nce(sims: np.ndarray, pos: np.ndarray, negs: np.ndarray,
+                cfg: LossConfig) -> np.ndarray:
+    """Per-row losses -p/sigma + log(denominator); sims becomes d/dsims.
+
+    Row r's positive is column pos[r] and its negatives are the columns where
+    negs[r] is set (never the positive). Works in place on sims, so a call
+    allocates no other matrix of its size, the hard-negative weights aside.
+    Under hardneg_nce every row needs at least one negative.
+    """
+    rows = np.arange(sims.shape[0])
+    off = ~negs
+    sims /= cfg.sigma
+    p = sims[rows, pos]
+    hardneg = cfg.nce_mode == "hardneg_nce"
+    if hardneg:
+        # Negative j enters as n * r_j * e^{s_j/sigma}, r = softmax(beta*s/sigma).
+        r = cfg.beta * sims
+        log_rz = _softmax_rows(r, off)
+        sims *= 1.0 + cfg.beta
+        sims += np.log(np.count_nonzero(negs, axis=1, keepdims=True)) - log_rz
+        sims[rows, pos] = np.log(cfg.alpha) + p
+    off[rows, pos] = False
+    loss = _softmax_rows(sims, off)[:, 0] - p
+    if hardneg:
+        # Through the weights: ((1+beta) q_j - beta * Q * r_j) with Q = sum q.
+        post_pos = sims[rows, pos]
+        sims[rows, pos] = 0.0
+        r *= cfg.beta * sims.sum(axis=1, keepdims=True)
+        sims *= 1.0 + cfg.beta
+        sims -= r
+        sims[rows, pos] = post_pos
+    sims[rows, pos] -= 1.0
+    sims /= cfg.sigma
+    return loss
+
+
+def _contrast(anchors, candidates, pos, negs, cfg: LossConfig):
+    """Mean masked InfoNCE of the anchor rows with d/danchors, d/dcandidates."""
+    dsims = anchors @ candidates.T
+    loss = _masked_nce(dsims, pos, negs, cfg).mean()
+    dsims /= anchors.shape[0]
+    return float(loss), dsims @ candidates, dsims.T @ anchors
+
+
+def _in_batch(anchors, candidates, cfg: LossConfig):
+    """_contrast with row i's positive at column i, every other column on."""
+    n = anchors.shape[0]
+    return _contrast(anchors, candidates, np.arange(n), ~np.eye(n, dtype=bool), cfg)
 
 
 def info_nce_t2v(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     """Caption anchors against the batch videos."""
-    return _pair_loss(batch, cfg, anchor_videos=False, term="t2v")
+    grads = LossGrads.zeros_like(batch)
+    total, grads.caption, grads.video = _in_batch(batch.caption, batch.video, cfg)
+    return LossOutput(total, {"t2v": total}, grads)
 
 
 def info_nce_v2t(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     """Video anchors against the batch captions."""
-    return _pair_loss(batch, cfg, anchor_videos=True, term="v2t")
+    grads = LossGrads.zeros_like(batch)
+    total, grads.video, grads.caption = _in_batch(batch.video, batch.caption, cfg)
+    return LossOutput(total, {"v2t": total}, grads)
 
 
-def _relabel(out: LossOutput, term: str) -> LossOutput:
-    return LossOutput(out.total, {term: out.total}, out.grads)
+def _v2t_with_negatives(batch: BatchTensors, cfg: LossConfig, term: str,
+                        own_only: bool) -> LossOutput:
+    """v2t over [captions; stacked negatives], all or only own negatives on."""
+    counts = batch.hard_counts()
+    if sum(counts) == 0:
+        # No generated negatives: identical to the baseline, bit for bit.
+        out = info_nce_v2t(batch, cfg)
+        return LossOutput(out.total, {term: out.total}, out.grads)
+    B = batch.batch_size
+    idx = np.arange(B)
+    candidates = np.vstack([batch.caption, *batch.hard])
+    negs = np.ones((B, candidates.shape[0]), dtype=bool)
+    negs[idx, idx] = False
+    if own_only:
+        negs[:, B:] = np.repeat(idx, counts) == idx[:, None]
+    grads = LossGrads.zeros_like(batch)
+    total, grads.video, gc = _contrast(batch.video, candidates, idx, negs, cfg)
+    grads.caption = gc[:B]
+    grads.hard = np.split(gc[B:], np.cumsum(counts)[:-1])
+    return LossOutput(total, {term: total}, grads)
 
 
 def loss_hn_uncalibrated(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     """v2t with every item's hard negatives in every row's denominator."""
-    counts = batch.hard_counts()
-    if sum(counts) == 0:
-        # No generated negatives: identical to the baseline, bit for bit.
-        return _relabel(info_nce_v2t(batch, cfg), "hn_uncalibrated")
-    B = batch.batch_size
-    stacked = np.vstack([h for h in batch.hard if h.shape[0]])
-    sims_in = batch.video @ batch.caption.T
-    sims_h = batch.video @ stacked.T
-    dsims_in = np.zeros_like(sims_in)
-    dsims_h = np.zeros_like(sims_h)
-    idx = np.arange(B)
-    total = 0.0
-    for i in range(B):
-        mask = idx != i
-        s = np.concatenate((sims_in[i, mask], sims_h[i]))
-        loss, dp, ds = _row(sims_in[i, i], s, cfg)
-        total += loss
-        dsims_in[i, i] = dp
-        dsims_in[i, mask] = ds[: B - 1]
-        dsims_h[i] = ds[B - 1 :]
-    total /= B
-    dsims_in /= B
-    dsims_h /= B
-    grads = LossGrads.zeros_like(batch)
-    grads.video = dsims_in @ batch.caption + dsims_h @ stacked
-    grads.caption = dsims_in.T @ batch.video
-    ghard = dsims_h.T @ batch.video
-    offset = 0
-    for i, n in enumerate(counts):
-        grads.hard[i] = ghard[offset : offset + n]
-        offset += n
-    return LossOutput(total, {"hn_uncalibrated": total}, grads)
+    return _v2t_with_negatives(batch, cfg, "hn_uncalibrated", own_only=False)
 
 
 def loss_chn(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     """v2t where each row sees only its own hard negatives (calibrated form)."""
-    counts = batch.hard_counts()
-    if sum(counts) == 0:
-        return _relabel(info_nce_v2t(batch, cfg), "chn")
-    B = batch.batch_size
-    sims_in = batch.video @ batch.caption.T
-    dsims_in = np.zeros_like(sims_in)
-    grads = LossGrads.zeros_like(batch)
-    idx = np.arange(B)
-    total = 0.0
-    for i in range(B):
-        mask = idx != i
-        own = batch.hard[i]
-        sh = own @ batch.video[i]
-        s = np.concatenate((sims_in[i, mask], sh))
-        loss, dp, ds = _row(sims_in[i, i], s, cfg)
-        total += loss
-        dsims_in[i, i] = dp
-        dsims_in[i, mask] = ds[: B - 1]
-        ds_h = ds[B - 1 :] / B
-        if own.shape[0]:
-            grads.hard[i] += np.outer(ds_h, batch.video[i])
-            grads.video[i] += ds_h @ own
-    total /= B
-    dsims_in /= B
-    grads.video += dsims_in @ batch.caption
-    grads.caption = dsims_in.T @ batch.video
-    return LossOutput(total, {"chn": total}, grads)
+    return _v2t_with_negatives(batch, cfg, "chn", own_only=True)
 
 
 def loss_verb_phrase(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
@@ -318,46 +276,17 @@ def loss_verb_phrase(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     scale = 0.5 if both else 1.0
     V = batch.video[members]
     T = batch.verb[members]
-
-    sims = V @ T.T
-    dsims = np.zeros_like(sims)
-    idx = np.arange(M)
-    total_v2t = 0.0
-    for r in range(M):
-        mask = idx != r
-        loss, dp, ds = _row(sims[r, r], sims[r, mask], base)
-        total_v2t += loss
-        dsims[r, r] = dp
-        dsims[r, mask] = ds
-    total_v2t /= M
-    dsims *= scale / M
-    gv = dsims @ T
-    gt = dsims.T @ V
-    for r, i in enumerate(members):
-        grads.video[i] += gv[r]
-        grads.verb[i] += gt[r]
-    total = scale * total_v2t
-
+    total, gv, gt = _in_batch(V, T, base)
+    grads.video[members] = scale * gv
+    grads.verb[members] = scale * gt
+    total *= scale
     if both:
-        B = batch.batch_size
-        sims2 = T @ batch.video.T
-        dsims2 = np.zeros_like(sims2)
-        allidx = np.arange(B)
-        total_t2v = 0.0
-        for r, i in enumerate(members):
-            mask = allidx != i
-            loss, dp, ds = _row(sims2[r, i], sims2[r, mask], base)
-            total_t2v += loss
-            dsims2[r, i] = dp
-            dsims2[r, mask] = ds
-        total_t2v /= M
-        dsims2 *= scale / M
-        gt2 = dsims2 @ batch.video
-        gv2 = dsims2.T @ T
-        for r, i in enumerate(members):
-            grads.verb[i] += gt2[r]
-        grads.video += gv2
-        total += scale * total_t2v
+        negs = np.ones((M, batch.batch_size), dtype=bool)
+        negs[np.arange(M), members] = False
+        total2, gt2, gv2 = _contrast(T, batch.video, members, negs, base)
+        grads.verb[members] += scale * gt2
+        grads.video += scale * gv2
+        total += scale * total2
     return LossOutput(total, {"verb_phrase": total}, grads)
 
 
@@ -420,13 +349,13 @@ def combined_vfc(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
 
     term1 = t2v.total / div1
     term2 = mid.total / div2
-    term3 = verb.total / div3 if div3 else verb.total
+    term3 = verb.total / div3
     total = cfg.lambda1 * term1 + cfg.lambda2 * term2 + cfg.lambda3 * term3
     grads = LossGrads.zeros_like(batch)
     grads.add_scaled(t2v.grads, cfg.lambda1 / div1)
     grads.add_scaled(mid.grads, cfg.lambda2 / div2)
     if members:
-        grads.add_scaled(verb.grads, cfg.lambda3 / (div3 if div3 else 1.0))
+        grads.add_scaled(verb.grads, cfg.lambda3 / div3)
     return LossOutput(
         float(total),
         {"t2v": float(term1), "chn": float(term2), "verb_phrase": float(term3)},

@@ -11,6 +11,7 @@ import re
 
 _PUNCT = re.compile(r"[^\w\s]+")
 _WS = re.compile(r"\s+")
+_WORD = re.compile(r"\w")
 
 
 def normalize_text(raw: str) -> str:
@@ -23,6 +24,11 @@ def tokenize(raw: str) -> list[str]:
     """Normalized whitespace tokens of ``raw``; empty input gives []."""
     s = normalize_text(raw)
     return s.split() if s else []
+
+
+def has_tokens(raw: str) -> bool:
+    """Whether tokenize(raw) is non-empty, without building the tokens."""
+    return _WORD.search(raw) is not None
 
 
 def is_normalized(s: str) -> bool:

@@ -320,15 +320,17 @@ def train_loop(manifest: DatasetManifest, cfg: TrainConfig,
     """Train from state.epoch to cfg.epochs; returns state and epoch metrics.
 
     Passing a state loaded from a checkpoint resumes bit-exactly, because
-    epoch sampling depends only on (seed, epoch). Checkpoints are written
-    every cfg.checkpoint_every epochs (0 disables) plus once at the end when
-    a directory is given.
+    epoch sampling depends only on (seed, epoch). A run from epoch 0
+    rewrites the log at log_path; a resumed run appends to it. Checkpoints
+    are written every cfg.checkpoint_every epochs (0 disables) plus once at
+    the end when a directory is given.
     """
     if state is None:
         state = TrainState(encoders=DualEncoders.from_manifest(manifest, cfg.encoder))
     metrics: list[dict] = []
     grads = EncoderGrads.zeros_for(state.encoders)
-    log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
+    mode = "a" if state.epoch > 0 else "w"
+    log_fh = open(log_path, mode, encoding="utf-8") if log_path else None
     try:
         for epoch in range(state.epoch, cfg.epochs):
             t0 = time.perf_counter()

@@ -64,6 +64,21 @@ def test_load_errors_carry_line_numbers(tmp_path):
         load_manifest(path)
 
 
+def test_load_rejects_texts_without_tokens(tmp_path):
+    # "!!!" passes the record checks but normalizes to no tokens at all.
+    videos = [VideoRecord(f"v{i}", "train") for i in range(4)]
+    captions = [CaptionRecord(f"v{i}", f"a cat sleeping {i}", (VerbPhrase("sleeping"),))
+                for i in range(3)]
+    path = tmp_path / "m.jsonl"
+    save_manifest(DatasetManifest(videos, captions + [CaptionRecord("v3", "!!!")]), path)
+    with pytest.raises(CorpusError, match=r"m\.jsonl:9: caption text has no tokens"):
+        load_manifest(path)
+    gen = GeneratedCaption("v0", "a cat sleeping 0", "!!!", "hard_negative", "random_verb")
+    save_manifest(DatasetManifest(videos, captions, [gen]), path)
+    with pytest.raises(CorpusError, match=r"m\.jsonl:9: generation text has no tokens"):
+        load_manifest(path)
+
+
 def test_record_validation():
     with pytest.raises(CorpusError):
         VideoRecord("")

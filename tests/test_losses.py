@@ -26,6 +26,11 @@ VARIANT_CASES = [
     ("verb", loss_verb_phrase, naive_verb, LossConfig(sigma=0.2)),
     ("hardneg", loss_chn, naive_chn,
      LossConfig(sigma=0.2, nce_mode="hardneg_nce", alpha=1.0, beta=0.1)),
+    ("hardneg_hn", loss_hn_uncalibrated, naive_hn,
+     LossConfig(sigma=0.2, negative_variant="hn_uncalibrated",
+                nce_mode="hardneg_nce", alpha=0.7, beta=0.3)),
+    ("hardneg_t2v", info_nce_t2v, naive_t2v,
+     LossConfig(sigma=0.2, nce_mode="hardneg_nce", alpha=1.5, beta=0.2)),
 ]
 
 
@@ -68,12 +73,9 @@ def test_combined_oracle_small_sigma(rng):
                          ids=[c[0] for c in VARIANT_CASES])
 @pytest.mark.parametrize("B,d", [(2, 3), (4, 8)])
 def test_gradients_match_finite_differences(name, fn, oracle, cfg, B, d, rng):
-    combined = LossConfig(sigma=cfg.sigma, nce_mode=cfg.nce_mode,
-                          alpha=cfg.alpha, beta=cfg.beta,
-                          negative_variant="hn_uncalibrated"
-                          if name == "hn" else "calibrated_hn")
+    # fd_check differentiates combined_vfc, which runs the case's variant.
     batch = _batch_for(name, rng, B, d)
-    assert fd_check(batch, combined) <= 1e-5
+    assert fd_check(batch, cfg) <= 1e-5
 
 
 def test_gradients_verb_both_direction(rng):

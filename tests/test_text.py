@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from verbfocus.text import is_normalized, normalize_text, tokenize
+from verbfocus.text import has_tokens, is_normalized, normalize_text, tokenize
 
 
 def test_normalize_examples():
@@ -15,6 +15,7 @@ def test_tokenize():
     assert tokenize("Dogs bark. Cats don't!") == ["dogs", "bark", "cats", "don", "t"]
     assert tokenize("") == []
     assert tokenize("   ") == []
+    assert not has_tokens("!!! ...")
 
 
 @given(st.text(max_size=80))
@@ -30,6 +31,11 @@ def test_tokens_are_normalized_words(s):
     for tok in tokenize(s):
         assert tok == normalize_text(tok)
         assert " " not in tok
+
+
+@given(st.text(max_size=80))
+def test_has_tokens_agrees_with_tokenize(s):
+    assert has_tokens(s) == bool(tokenize(s))
 
 
 def test_is_normalized_rejects_empty_and_upper():

@@ -162,6 +162,23 @@ def test_train_loop_writes_metrics_log(tmp_path):
     assert [r["epoch"] for r in rows] == [0, 1, 2]
 
 
+def test_fresh_run_rewrites_metrics_log_and_resume_appends(tmp_path):
+    manifest = crossed_manifest(n_contexts=2, verbs=2, cell=1)
+    cfg = tiny_cfg(batch_size=4, epochs=3)
+    log = tmp_path / "metrics.jsonl"
+
+    def logged_epochs():
+        return [json.loads(line)["epoch"] for line in log.read_text().splitlines()]
+
+    train_loop(manifest, cfg, log_path=log)
+    train_loop(manifest, cfg, log_path=log)
+    assert logged_epochs() == list(range(cfg.epochs))
+    half, _ = train_loop(manifest, tiny_cfg(batch_size=4, epochs=2), log_path=log)
+    assert logged_epochs() == [0, 1]
+    train_loop(manifest, cfg, state=half, log_path=log)
+    assert logged_epochs() == [0, 1, 2]
+
+
 def test_resume_is_bit_exact(tmp_path):
     manifest = crossed_manifest(n_contexts=3, verbs=2, cell=1, copies=1)
     straight_cfg = tiny_cfg(batch_size=4, epochs=6, seed=7)
