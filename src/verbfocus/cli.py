@@ -23,6 +23,7 @@ import argparse
 import copy
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .calibration import calibrate_filter
@@ -30,10 +31,10 @@ from .clients import (CachedCompletionClient, CachedFillMaskClient,
                       ClientError, CompletionClientConfig, HttpCompletionClient,
                       HttpFillMaskClient, HttpTransport, StubCompletionClient,
                       StubFillMaskClient)
-from .corpus import CorpusError, load_manifest, save_manifest
+from .corpus import load_manifest, read_jsonl, save_manifest
 from .encoders import EncoderConfig
-from .evaluation import (EvalError, build_verb_split, eval_multiple_choice,
-                         eval_pair_ap, eval_retrieval, eval_zero_shot,
+from .evaluation import (build_verb_split, eval_multiple_choice, eval_pair_ap,
+                         eval_retrieval, eval_zero_shot,
                          load_classification_task, load_mc_items,
                          load_retrieval_pairs, load_scored_pairs,
                          subset_resample_protocol, write_confusion_csv)
@@ -42,13 +43,19 @@ from .experiments import (EXPERIMENT_NAMES, run_attraction_point,
 from .lexicon import LexiconResources
 from .losses import LossConfig
 from .textgen import GenBackendConfig, TextGenError, generate_for_manifest
-from .trainer import (TrainConfig, TrainerError, load_train_checkpoint,
-                      train_loop)
+from .trainer import (TrainConfig, TrainerError, desk_config,
+                      load_train_checkpoint, train_loop)
 
 
 class ConfigError(ValueError):
     pass
 
+
+def _fields(config, *skip: str) -> dict:
+    return {k: v for k, v in asdict(config).items() if k not in skip}
+
+
+_PRESET = desk_config()
 
 DEFAULTS = {
     "manifest": None,
@@ -70,33 +77,12 @@ DEFAULTS = {
         "timeout": 30.0,
         "max_retries": 3,
     },
-    "loss": {
-        "sigma": 5e-3,
-        "lambda1": 2.0,
-        "lambda2": 1.0,
-        "lambda3": 1.0,
-        "negative_variant": "calibrated_hn",
-        "nce_mode": "standard",
-        "alpha": 1.0,
-        "beta": 0.1,
-        "normalize_by_uniform": True,
-        "verb_phrase_direction": "v2t_only",
-    },
-    "encoder": {
-        "dim": 32,
-        "init_scale": None,
-        "freeze_video": False,
-        "freeze_text": False,
-    },
-    "train": {
-        "input": None,
-        "batch_size": 256,
-        "epochs": 100,
-        "learning_rate": 0.05,
-        "weight_decay": 1e-2,
-        "n_hard_max": 5,
-        "checkpoint_every": 0,
-    },
+    # The desk preset, read off the dataclasses so the two cannot drift. The
+    # encoder's init_scale stays None so that it follows dim; the seed lives
+    # at the top level.
+    "loss": asdict(_PRESET.loss),
+    "encoder": {**_fields(_PRESET.encoder, "seed"), "init_scale": None},
+    "train": {"input": None, **_fields(_PRESET, "seed", "loss", "encoder")},
     "eval": {
         "checkpoint": None,
         "mc_items": None,
@@ -420,8 +406,7 @@ def cmd_report(cfg: dict) -> int:
             summary[name] = json.loads(path.read_text(encoding="utf-8"))
     metrics_path = out / "metrics.jsonl"
     if metrics_path.exists():
-        rows = [json.loads(line) for line in
-                metrics_path.read_text(encoding="utf-8").splitlines() if line]
+        rows = read_jsonl(metrics_path, lambda row: row, ValueError)
         if rows:
             summary["train"] = {"epochs": len(rows), "first": rows[0], "last": rows[-1]}
     for exp_dir in sorted(out.glob("experiment_*")):
@@ -437,61 +422,60 @@ def cmd_report(cfg: dict) -> int:
     return 0
 
 
+def _show_ratio_law(result) -> None:
+    worst = max(result.max_rel_err.values())
+    print(f"ratio law: max relative deviation {worst:.3e} over "
+          f"{len(result.per_variant['baseline'])} concepts, "
+          f"{result.epochs} epochs, B={result.batch_size}")
+    for variant, err in sorted(result.max_rel_err.items()):
+        print(f"  {variant}: max rel err {err:.3e}")
+
+
+def _show_attraction_point(result) -> None:
+    print(f"attraction point: magnet {result.magnet_label!r}")
+    print(f"  uncalibrated magnet share ratio "
+          f"{result.magnet_share_ratio_uncalibrated:.2f}x prevalence")
+    print(f"  calibrated max share ratio "
+          f"{result.max_share_ratio_calibrated:.2f}x prevalence")
+    print(f"  group macro accuracy: uncalibrated "
+          f"{result.group_macro_uncalibrated:.3f} vs calibrated "
+          f"{result.group_macro_calibrated:.3f}")
+
+
+def _show_shortcut(result) -> None:
+    print(f"shortcut: verb-hard MC baseline {result.baseline_verb_mc:.3f} "
+          f"vs VFC {result.vfc_verb_mc:.3f}")
+    print(f"  context MC baseline {result.baseline_noun_mc:.3f} "
+          f"vs VFC {result.vfc_noun_mc:.3f}")
+
+
+# name -> (runner, checkpoint subdirectories, printer)
+_EXPERIMENTS = {
+    "ratio_law": (run_ratio_law, (), _show_ratio_law),
+    "attraction_point": (run_attraction_point, ("uncalibrated", "calibrated"),
+                         _show_attraction_point),
+    "shortcut": (run_shortcut, ("baseline", "vfc"), _show_shortcut),
+}
+
+
 def cmd_experiment(cfg: dict, name: str) -> int:
+    if name not in _EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}")
+    run, subdirs, show = _EXPERIMENTS[name]
     out = _out_dir(cfg)
     _echo_config(cfg, out)
     exp_dir = out / f"experiment_{name}"
     exp_dir.mkdir(exist_ok=True)
-    seed = cfg["seed"]
-    epochs = cfg["experiment"]["epochs"]
-    batch = cfg["experiment"]["batch_size"]
-    if name == "ratio_law":
-        kwargs = {"seed": seed}
-        if epochs:
-            kwargs["epochs"] = epochs
-        if batch:
-            kwargs["batch_size"] = batch
-        result = run_ratio_law(**kwargs)
-        worst = max(result.max_rel_err.values())
-        print(f"ratio law: max relative deviation {worst:.3e} over "
-              f"{len(result.per_variant['baseline'])} concepts, "
-              f"{result.epochs} epochs, B={result.batch_size}")
-        for variant, err in sorted(result.max_rel_err.items()):
-            print(f"  {variant}: max rel err {err:.3e}")
-    elif name == "attraction_point":
-        dirs = (str(exp_dir / "uncalibrated"), str(exp_dir / "calibrated"))
-        for d in dirs:
-            Path(d).mkdir(exist_ok=True)
-        kwargs = {"seed": seed, "checkpoint_dirs": dirs}
-        if epochs:
-            kwargs["epochs"] = epochs
-        if batch:
-            kwargs["batch_size"] = batch
-        result = run_attraction_point(**kwargs)
-        print(f"attraction point: magnet {result.magnet_label!r}")
-        print(f"  uncalibrated magnet share ratio "
-              f"{result.magnet_share_ratio_uncalibrated:.2f}x prevalence")
-        print(f"  calibrated max share ratio "
-              f"{result.max_share_ratio_calibrated:.2f}x prevalence")
-        print(f"  group macro accuracy: uncalibrated "
-              f"{result.group_macro_uncalibrated:.3f} vs calibrated "
-              f"{result.group_macro_calibrated:.3f}")
-    elif name == "shortcut":
-        dirs = (str(exp_dir / "baseline"), str(exp_dir / "vfc"))
-        for d in dirs:
-            Path(d).mkdir(exist_ok=True)
-        kwargs = {"seed": seed, "checkpoint_dirs": dirs}
-        if epochs:
-            kwargs["epochs"] = epochs
-        if batch:
-            kwargs["batch_size"] = batch
-        result = run_shortcut(**kwargs)
-        print(f"shortcut: verb-hard MC baseline {result.baseline_verb_mc:.3f} "
-              f"vs VFC {result.vfc_verb_mc:.3f}")
-        print(f"  context MC baseline {result.baseline_noun_mc:.3f} "
-              f"vs VFC {result.vfc_noun_mc:.3f}")
-    else:
-        raise ConfigError(f"unknown experiment {name!r}")
+    kwargs = {"seed": cfg["seed"]}
+    for key in ("epochs", "batch_size"):
+        if cfg["experiment"][key]:
+            kwargs[key] = cfg["experiment"][key]
+    if subdirs:
+        for d in subdirs:
+            (exp_dir / d).mkdir(exist_ok=True)
+        kwargs["checkpoint_dirs"] = tuple(str(exp_dir / d) for d in subdirs)
+    result = run(**kwargs)
+    show(result)
     (exp_dir / "result.json").write_text(
         json.dumps(result.to_dict(), indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8")
@@ -552,10 +536,7 @@ def main(argv=None) -> int:
         if args.command == "experiment":
             return cmd_experiment(cfg, args.name)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, CorpusError, EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError, CorpusError, EvalError, bad transcripts
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TextGenError, TrainerError, ClientError, OSError) as exc:

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
 
+from .corpus import read_jsonl
+
 log = logging.getLogger(__name__)
 
 
@@ -171,13 +173,11 @@ class StubCompletionClient:
     @classmethod
     def from_file(cls, path: str | Path) -> "StubCompletionClient":
         table: dict[str, list[str]] = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "input" not in obj or "candidates" not in obj:
-                raise ValueError(f"{Path(path).name}:{lineno}: expected 'input' and 'candidates'")
+
+        def entry(obj):
             table[obj["input"]] = list(obj["candidates"])
+
+        read_jsonl(path, entry, ValueError)
         return cls(table)
 
     def complete(self, prompt: str, decode: DecodeParams) -> list[str]:
@@ -199,15 +199,11 @@ class StubFillMaskClient:
     @classmethod
     def from_file(cls, path: str | Path) -> "StubFillMaskClient":
         table: dict[str, list[list[str]]] = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "text_with_masks" not in obj or "fills" not in obj:
-                raise ValueError(
-                    f"{Path(path).name}:{lineno}: expected 'text_with_masks' and 'fills'"
-                )
+
+        def entry(obj):
             table[obj["text_with_masks"]] = [list(f) for f in obj["fills"]]
+
+        read_jsonl(path, entry, ValueError)
         return cls(table)
 
     def fill(self, text_with_masks: str, top_k: int) -> list[list[str]]:

@@ -9,6 +9,7 @@ schemas; ordering inside the file is preserved by load/save round trips.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -21,6 +22,8 @@ GENERATION_KINDS = ("hard_negative", "positive_paraphrase")
 GENERATION_BACKENDS = ("llm_completion", "t5_cloze", "random_verb", "antonym_verb")
 
 SCHEMA_VERSION = 1
+
+Parser = Callable[[dict], object]
 
 
 class CorpusError(ValueError):
@@ -123,22 +126,55 @@ def _phrases_to_json(phrases: tuple[VerbPhrase, ...]) -> list[str]:
     return [p.surface for p in phrases]
 
 
-def _phrases_from_json(raw, where: str) -> tuple[VerbPhrase, ...]:
+def _phrases_from_json(raw) -> tuple[VerbPhrase, ...]:
     if not isinstance(raw, list) or not all(isinstance(p, str) for p in raw):
-        raise CorpusError(f"{where}: verb_phrases must be a list of strings")
-    try:
-        return tuple(VerbPhrase(p) for p in raw)
-    except CorpusError as e:
-        raise CorpusError(f"{where}: {e}") from None
+        raise CorpusError("verb_phrases must be a list of strings")
+    return tuple(VerbPhrase(p) for p in raw)
 
 
-def _require(obj: dict, keys: tuple[str, ...], where: str) -> None:
+def _require(obj: dict, keys: tuple[str, ...]) -> None:
     missing = [k for k in keys if k not in obj]
     if missing:
-        raise CorpusError(f"{where}: missing fields {missing}")
+        raise CorpusError(f"missing fields {missing}")
     extra = sorted(set(obj) - set(keys) - {"record"})
     if extra:
-        raise CorpusError(f"{where}: unknown fields {extra}")
+        raise CorpusError(f"unknown fields {extra}")
+
+
+def read_jsonl(path: str | Path, parse: Parser | dict[str, Parser],
+               error: type[ValueError]) -> list:
+    """Parse each non-blank line of a JSONL file as one JSON object.
+
+    ``parse`` takes the object and returns the line's record; a mapping
+    instead picks the parser by the object's ``record`` tag. Returns the
+    records in file order. Bad JSON, a line that is not an object, a missing
+    field (a KeyError in the parser), an unknown tag, or a record the parser
+    rejects with a ValueError or TypeError all raise ``error`` prefixed with
+    ``name:line``. Lines end at newlines only, as JSONL defines them.
+    """
+    path = Path(path)
+    by_tag = parse if isinstance(parse, dict) else None
+    records = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise error("expected a JSON object")
+            if by_tag is not None:
+                parse = by_tag.get(obj["record"])
+                if parse is None:
+                    raise error(f"unknown record tag {obj['record']!r}")
+            records.append(parse(obj))
+        except json.JSONDecodeError as e:
+            raise error(f"{path.name}:{lineno}: invalid JSON ({e.msg})") from None
+        except KeyError as e:
+            raise error(f"{path.name}:{lineno}: missing field {e.args[0]!r}") from None
+        except (TypeError, ValueError) as e:
+            raise error(f"{path.name}:{lineno}: {e}") from None
+    return records
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
@@ -182,6 +218,10 @@ def _require_tokens(text: str, what: str) -> None:
         raise CorpusError(f"{what} has no tokens: {text!r}")
 
 
+_GENERATION_FIELDS = ("parent_video_id", "parent_caption", "text", "kind",
+                      "backend", "verb_phrases", "kept")
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse and validate a manifest file; errors name the offending line.
 
@@ -191,76 +231,42 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     if not path.exists():
         raise CorpusError(f"manifest not found: {path}")
     manifest = DatasetManifest()
+    split_of: dict[str, str] = {}
     caption_splits: dict[str, str] = {}
-    saw_header = False
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"{path.name}:{lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise CorpusError(f"{where}: invalid JSON ({e.msg})") from None
-        if not isinstance(obj, dict) or "record" not in obj:
-            raise CorpusError(f"{where}: expected an object with a 'record' tag")
-        kind = obj["record"]
-        try:
-            if kind == "header":
-                _require(obj, ("schema_version",), where)
-                if obj["schema_version"] != SCHEMA_VERSION:
-                    raise CorpusError(
-                        f"{where}: unsupported schema_version {obj['schema_version']!r}"
-                    )
-                saw_header = True
-            elif kind == "video":
-                _require(obj, ("video_id", "split"), where)
-                manifest.videos.append(VideoRecord(obj["video_id"], obj["split"]))
-            elif kind == "caption":
-                _require(obj, ("video_id", "text", "split", "verb_phrases"), where)
-                _require_tokens(obj["text"], "caption text")
-                manifest.captions.append(
-                    CaptionRecord(
-                        obj["video_id"],
-                        obj["text"],
-                        _phrases_from_json(obj["verb_phrases"], where),
-                    )
-                )
-                caption_splits[obj["video_id"]] = obj["split"]
-            elif kind == "generation":
-                _require(
-                    obj,
-                    (
-                        "parent_video_id",
-                        "parent_caption",
-                        "text",
-                        "kind",
-                        "backend",
-                        "verb_phrases",
-                        "kept",
-                    ),
-                    where,
-                )
-                _require_tokens(obj["text"], "generation text")
-                manifest.generations.append(
-                    GeneratedCaption(
-                        obj["parent_video_id"],
-                        obj["parent_caption"],
-                        obj["text"],
-                        obj["kind"],
-                        obj["backend"],
-                        _phrases_from_json(obj["verb_phrases"], where),
-                        bool(obj["kept"]),
-                    )
-                )
-            else:
-                raise CorpusError(f"{where}: unknown record tag {kind!r}")
-        except CorpusError as e:
-            msg = str(e)
-            raise CorpusError(msg if msg.startswith(path.name) else f"{where}: {e}") from None
-    if not saw_header:
+    headers: list[dict] = []
+
+    def header(obj):
+        _require(obj, ("schema_version",))
+        if obj["schema_version"] != SCHEMA_VERSION:
+            raise CorpusError(f"unsupported schema_version {obj['schema_version']!r}")
+        headers.append(obj)
+
+    def video(obj):
+        _require(obj, ("video_id", "split"))
+        manifest.videos.append(VideoRecord(obj["video_id"], obj["split"]))
+        split_of[obj["video_id"]] = obj["split"]
+
+    def caption(obj):
+        _require(obj, ("video_id", "text", "split", "verb_phrases"))
+        _require_tokens(obj["text"], "caption text")
+        manifest.captions.append(CaptionRecord(
+            obj["video_id"], obj["text"], _phrases_from_json(obj["verb_phrases"])))
+        caption_splits[obj["video_id"]] = obj["split"]
+
+    def generation(obj):
+        _require(obj, _GENERATION_FIELDS)
+        _require_tokens(obj["text"], "generation text")
+        # The parent pair keys the negative pools: reject an unhashable one here.
+        hash((obj["parent_video_id"], obj["parent_caption"]))
+        manifest.generations.append(GeneratedCaption(
+            obj["parent_video_id"], obj["parent_caption"], obj["text"], obj["kind"],
+            obj["backend"], _phrases_from_json(obj["verb_phrases"]), bool(obj["kept"])))
+
+    read_jsonl(path, {"header": header, "video": video, "caption": caption,
+                      "generation": generation}, CorpusError)
+    if not headers:
         raise CorpusError(f"{path.name}: missing header record")
     manifest.validate()
-    split_of = {v.video_id: v.split for v in manifest.videos}
     for vid, split in caption_splits.items():
         if split_of[vid] != split:
             raise CorpusError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,19 +46,6 @@ class EncoderConfig:
             object.__setattr__(self, "init_scale", 1.0 / math.sqrt(self.dim))
         elif self.init_scale <= 0:
             raise ValueError("init_scale must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "init_scale": self.init_scale,
-            "seed": self.seed,
-            "freeze_video": self.freeze_video,
-            "freeze_text": self.freeze_text,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -196,7 +183,7 @@ class DualEncoders:
         header = {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "video_ids": self.video_ids,
             "vocab": self.vocab,
             "video_shape": list(self.video_table.shape),
@@ -218,7 +205,7 @@ class DualEncoders:
             raise EncoderError(f"not an encoder checkpoint: format {header.get('format')!r}")
         if header.get("version") != CHECKPOINT_VERSION:
             raise EncoderError(f"unsupported checkpoint version {header.get('version')!r}")
-        config = EncoderConfig.from_dict(header["config"])
+        config = EncoderConfig(**header["config"])
         vshape = tuple(header["video_shape"])
         tshape = tuple(header["token_shape"])
         vbytes = fh.read(8 * vshape[0] * vshape[1])

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from .corpus import read_jsonl
 from .encoders import DualEncoders
 from .lexicon import STOPWORDS, VerbRecognizer
 from .text import tokenize
@@ -311,26 +313,13 @@ def save_mc_items(path, items) -> None:
             }, ensure_ascii=False) + "\n")
 
 
+def _mc_item(obj) -> MultipleChoiceItem:
+    return MultipleChoiceItem(obj["video_id"], obj["options"], int(obj["answer_index"]),
+                              obj["option_kinds"])
+
+
 def load_mc_items(path) -> list[MultipleChoiceItem]:
-    items = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EvalError(f"{path}:{lineno}: bad JSON: {exc}") from None
-            if obj.get("record") != "mc_item":
-                raise EvalError(f"{path}:{lineno}: expected mc_item record")
-            items.append(MultipleChoiceItem(
-                video_id=obj["video_id"],
-                options=tuple(obj["options"]),
-                answer_index=int(obj["answer_index"]),
-                option_kinds=tuple(obj["option_kinds"]),
-            ))
-    return items
+    return read_jsonl(path, {"mc_item": _mc_item}, EvalError)
 
 
 def save_classification_task(path, task: ClassificationTask) -> None:
@@ -346,66 +335,41 @@ def save_classification_task(path, task: ClassificationTask) -> None:
 
 
 def load_classification_task(path) -> ClassificationTask:
-    labels = None
-    verb_split = None
+    # Labels and split indices are checked on their own line; the task is
+    # assembled once every line is read.
+    labels = verb_split = None
     items = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EvalError(f"{path}:{lineno}: bad JSON: {exc}") from None
-            rec = obj.get("record")
-            if rec == "class_labels":
-                labels = tuple(obj["labels"])
-            elif rec == "verb_split":
-                verb_split = tuple(obj["indices"])
-            elif rec == "class_item":
-                items.append((obj["video_id"], int(obj["class_index"])))
-            else:
-                raise EvalError(f"{path}:{lineno}: unknown record {rec!r}")
+
+    def class_labels(obj):
+        nonlocal labels
+        labels = ClassificationTask(obj["labels"], ()).labels
+
+    def split(obj):
+        nonlocal verb_split
+        verb_split = tuple(int(i) for i in obj["indices"])
+
+    read_jsonl(path, {
+        "class_labels": class_labels,
+        "verb_split": split,
+        "class_item": lambda obj: items.append((obj["video_id"], int(obj["class_index"]))),
+    }, EvalError)
     if labels is None:
-        raise EvalError(f"{path}: missing class_labels record")
+        raise EvalError(f"{Path(path).name}: missing class_labels record")
     return ClassificationTask(labels=labels, items=tuple(items), verb_split=verb_split)
 
 
 def load_retrieval_pairs(path) -> list[tuple[str, str]]:
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EvalError(f"{path}:{lineno}: bad JSON: {exc}") from None
-            if obj.get("record") != "pair":
-                raise EvalError(f"{path}:{lineno}: expected pair record")
-            pairs.append((obj["video_id"], obj["text"]))
-    return pairs
+    return read_jsonl(path, {"pair": lambda obj: (obj["video_id"], obj["text"])}, EvalError)
+
+
+def _scored_pair(obj) -> tuple[str, str, str]:
+    if obj["label"] not in ("pos", "neg"):
+        raise EvalError("label must be pos or neg")
+    return obj["video_id"], obj["text"], obj["label"]
 
 
 def load_scored_pairs(path) -> list[tuple[str, str, str]]:
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EvalError(f"{path}:{lineno}: bad JSON: {exc}") from None
-            if obj.get("record") != "scored_pair":
-                raise EvalError(f"{path}:{lineno}: expected scored_pair record")
-            if obj["label"] not in ("pos", "neg"):
-                raise EvalError(f"{path}:{lineno}: label must be pos or neg")
-            pairs.append((obj["video_id"], obj["text"], obj["label"]))
-    return pairs
+    return read_jsonl(path, {"scored_pair": _scored_pair}, EvalError)
 
 
 def write_confusion_csv(path, report: ZeroShotReport, labels) -> None:

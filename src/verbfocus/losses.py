@@ -107,27 +107,17 @@ class BatchTensors:
 
 @dataclass
 class LossGrads:
+    """Gradients with respect to the batch tensors.
+
+    hard is a per-item list of (n_i, d) arrays, or empty for a term that does
+    not reach the hard negatives; verb is None when the term has no verb
+    gradient.
+    """
+
     video: np.ndarray
     caption: np.ndarray
-    hard: list[np.ndarray]
+    hard: list[np.ndarray] = field(default_factory=list)
     verb: np.ndarray | None = None
-
-    @classmethod
-    def zeros_like(cls, batch: BatchTensors) -> "LossGrads":
-        return cls(
-            video=np.zeros_like(batch.video),
-            caption=np.zeros_like(batch.caption),
-            hard=[np.zeros_like(h) for h in batch.hard],
-            verb=None if batch.verb is None else np.zeros_like(batch.verb),
-        )
-
-    def add_scaled(self, other: "LossGrads", scale: float) -> None:
-        self.video += scale * other.video
-        self.caption += scale * other.caption
-        for mine, theirs in zip(self.hard, other.hard):
-            mine += scale * theirs
-        if self.verb is not None and other.verb is not None:
-            self.verb += scale * other.verb
 
 
 @dataclass
@@ -212,16 +202,14 @@ def _in_batch(anchors, candidates, cfg: LossConfig):
 
 def info_nce_t2v(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     """Caption anchors against the batch videos."""
-    grads = LossGrads.zeros_like(batch)
-    total, grads.caption, grads.video = _in_batch(batch.caption, batch.video, cfg)
-    return LossOutput(total, {"t2v": total}, grads)
+    total, gc, gv = _in_batch(batch.caption, batch.video, cfg)
+    return LossOutput(total, {"t2v": total}, LossGrads(gv, gc))
 
 
 def info_nce_v2t(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     """Video anchors against the batch captions."""
-    grads = LossGrads.zeros_like(batch)
-    total, grads.video, grads.caption = _in_batch(batch.video, batch.caption, cfg)
-    return LossOutput(total, {"v2t": total}, grads)
+    total, gv, gc = _in_batch(batch.video, batch.caption, cfg)
+    return LossOutput(total, {"v2t": total}, LossGrads(gv, gc))
 
 
 def _v2t_with_negatives(batch: BatchTensors, cfg: LossConfig, term: str,
@@ -239,11 +227,9 @@ def _v2t_with_negatives(batch: BatchTensors, cfg: LossConfig, term: str,
     negs[idx, idx] = False
     if own_only:
         negs[:, B:] = np.repeat(idx, counts) == idx[:, None]
-    grads = LossGrads.zeros_like(batch)
-    total, grads.video, gc = _contrast(batch.video, candidates, idx, negs, cfg)
-    grads.caption = gc[:B]
-    grads.hard = np.split(gc[B:], np.cumsum(counts)[:-1])
-    return LossOutput(total, {term: total}, grads)
+    total, gv, gc = _contrast(batch.video, candidates, idx, negs, cfg)
+    hard = np.split(gc[B:], np.cumsum(counts)[:-1])
+    return LossOutput(total, {term: total}, LossGrads(gv, gc[:B], hard))
 
 
 def loss_hn_uncalibrated(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
@@ -266,7 +252,8 @@ def loss_verb_phrase(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     """
     if batch.verb is None:
         raise ValueError("batch has no verb-phrase embeddings")
-    grads = LossGrads.zeros_like(batch)
+    grads = LossGrads(np.zeros_like(batch.video), np.zeros_like(batch.caption),
+                      verb=np.zeros_like(batch.verb))
     members = np.flatnonzero(batch.verb_mask)
     M = members.size
     if M == 0:
@@ -328,12 +315,10 @@ def combined_vfc(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     else:
         mid = loss_chn(batch, cfg)
 
+    members = 0
     if batch.verb is not None:
         verb = loss_verb_phrase(batch, cfg)
         members = int(np.count_nonzero(batch.verb_mask))
-    else:
-        verb = LossOutput(0.0, {"verb_phrase": 0.0}, LossGrads.zeros_like(batch))
-        members = 0
 
     if cfg.normalize_by_uniform:
         div1 = uniform_normalizer("t2v", B)
@@ -347,15 +332,21 @@ def combined_vfc(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     else:
         div1 = div2 = div3 = 1.0
 
+    s1, s2, s3 = cfg.lambda1 / div1, cfg.lambda2 / div2, cfg.lambda3 / div3
     term1 = t2v.total / div1
     term2 = mid.total / div2
-    term3 = verb.total / div3
+    term3 = verb.total / div3 if members else 0.0
     total = cfg.lambda1 * term1 + cfg.lambda2 * term2 + cfg.lambda3 * term3
-    grads = LossGrads.zeros_like(batch)
-    grads.add_scaled(t2v.grads, cfg.lambda1 / div1)
-    grads.add_scaled(mid.grads, cfg.lambda2 / div2)
+    # Only the negative term reaches the hard negatives: scale its per-item
+    # gradients, or give zeros when it has none.
+    grads = LossGrads(
+        video=s1 * t2v.grads.video + s2 * mid.grads.video,
+        caption=s1 * t2v.grads.caption + s2 * mid.grads.caption,
+        hard=[s2 * h for h in mid.grads.hard] or [np.zeros_like(h) for h in batch.hard],
+        verb=None if batch.verb is None else s3 * verb.grads.verb,
+    )
     if members:
-        grads.add_scaled(verb.grads, cfg.lambda3 / div3)
+        grads.video += s3 * verb.grads.video
     return LossOutput(
         float(total),
         {"t2v": float(term1), "chn": float(term2), "verb_phrase": float(term3)},

@@ -21,9 +21,12 @@ def normalize_text(raw: str) -> str:
 
 
 def tokenize(raw: str) -> list[str]:
-    """Normalized whitespace tokens of ``raw``; empty input gives []."""
-    s = normalize_text(raw)
-    return s.split() if s else []
+    """Normalized whitespace tokens of ``raw``; empty input gives [].
+
+    One pass: str.split collapses and strips the same whitespace as
+    normalize_text, so this equals normalize_text(raw).split().
+    """
+    return _PUNCT.sub(" ", raw.lower()).split()
 
 
 def has_tokens(raw: str) -> bool:

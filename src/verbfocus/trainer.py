@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,25 +62,11 @@ class TrainConfig:
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
 
-    def to_dict(self) -> dict:
-        out = {
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "n_hard_max": self.n_hard_max,
-            "seed": self.seed,
-            "checkpoint_every": self.checkpoint_every,
-            "loss": dict(self.loss.__dict__),
-            "encoder": self.encoder.to_dict(),
-        }
-        return out
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
         loss = LossConfig(**d.pop("loss", {}))
-        encoder = EncoderConfig.from_dict(d.pop("encoder", {}))
+        encoder = EncoderConfig(**d.pop("encoder", {}))
         return cls(loss=loss, encoder=encoder, **d)
 
 
@@ -290,7 +276,7 @@ def save_train_checkpoint(path, state: TrainState, cfg: TrainConfig) -> None:
     header = {
         "format": TRAIN_CHECKPOINT_FORMAT,
         "version": TRAIN_CHECKPOINT_VERSION,
-        "train_config": cfg.to_dict(),
+        "train_config": asdict(cfg),
         "epoch": state.epoch,
         "step": state.step,
     }

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from verbfocus.cli import ConfigError, DEFAULTS, load_config, main
+from verbfocus.cli import ConfigError, DEFAULTS, load_config, main, make_train_config
 from verbfocus.corpus import CaptionRecord, DatasetManifest, VerbPhrase, VideoRecord, save_manifest
 from verbfocus.evaluation import MultipleChoiceItem, save_mc_items
+from verbfocus.trainer import desk_config
 
 
 def write_corpus(path):
@@ -52,6 +53,10 @@ def test_load_config_defaults_and_merge(tmp_path):
     assert cfg["seed"] == 5
     assert cfg["train"]["epochs"] == 7
     assert cfg["train"]["batch_size"] == DEFAULTS["train"]["batch_size"]
+
+
+def test_default_config_is_the_desk_preset():
+    assert make_train_config(load_config(None)) == desk_config()
 
 
 def test_load_config_errors(tmp_path):
@@ -297,3 +302,17 @@ def test_missing_transcript_file_is_a_runtime_failure(tmp_path, capsys):
         gen={"transcript": str(tmp_path / "nope.jsonl")})
     assert main(["gen", "--config", str(cfg_path)]) == 2
     assert "runtime failure" in capsys.readouterr().err
+
+
+def test_eval_on_a_malformed_task_file_names_its_line(tmp_path, capsys):
+    manifest_path = tmp_path / "manifest.jsonl"
+    write_corpus(manifest_path)
+    out = tmp_path / "run"
+    bad = tmp_path / "mc_bad.jsonl"
+    bad.write_text('{"record": "mc_item", "video_id": "v0", "answer_index": 0}\n')
+    cfg_path = write_config(tmp_path / "cfg.json", manifest_path, out,
+                            eval={"mc_items": str(bad)})
+    assert main(["train", "--config", str(cfg_path), "--loss-variant", "none"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: mc_bad.jsonl:1: missing field")

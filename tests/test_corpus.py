@@ -41,6 +41,17 @@ def test_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_roundtrip_keeps_unicode_line_separators(tmp_path):
+    # json.dumps leaves U+0085, U+2028 and U+2029 unescaped; they are not
+    # line ends in JSONL.
+    manifest = DatasetManifest(
+        [VideoRecord("v0")],
+        [CaptionRecord("v0", "a cat\u2028sleeping\x85 on a\u2029mat")])
+    path = tmp_path / "m.jsonl"
+    save_manifest(manifest, path)
+    assert load_manifest(path) == manifest
+
+
 def test_validate_rejects_duplicates_and_dangling_refs():
     m = small_manifest()
     m.videos.append(VideoRecord("v1", "train"))

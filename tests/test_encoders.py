@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ def small_encoders(**cfg_kwargs):
 def test_config_defaults_and_validation():
     cfg = EncoderConfig(dim=16)
     assert cfg.init_scale == 1.0 / math.sqrt(16)
-    assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
+    assert EncoderConfig(**asdict(cfg)) == cfg
     with pytest.raises(ValueError):
         EncoderConfig(dim=1)
     with pytest.raises(ValueError):

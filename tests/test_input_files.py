@@ -1,0 +1,193 @@
+"""Every JSONL input file fails at load time with its own error and name:line.
+
+The manifest raises CorpusError, the eval task files EvalError, the replay
+transcripts and the metrics log ValueError; a line is named as
+``<file name>:<line number>``.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from verbfocus.cli import ConfigError, cmd_report
+from verbfocus.clients import StubCompletionClient, StubFillMaskClient
+from verbfocus.corpus import CorpusError, load_manifest
+from verbfocus.evaluation import (EvalError, load_classification_task,
+                                  load_mc_items, load_retrieval_pairs,
+                                  load_scored_pairs)
+
+
+def load_report_metrics(path):
+    """cmd_report over a directory holding only the given metrics.jsonl."""
+    return cmd_report({"out": str(path.parent)})
+
+
+# loader, file name, the error classes it may raise
+LOADERS = {
+    "manifest": (load_manifest, "manifest.jsonl", (CorpusError,)),
+    "mc_items": (load_mc_items, "mc.jsonl", (EvalError,)),
+    "classification": (load_classification_task, "task.jsonl", (EvalError,)),
+    "retrieval_pairs": (load_retrieval_pairs, "pairs.jsonl", (EvalError,)),
+    "scored_pairs": (load_scored_pairs, "scored.jsonl", (EvalError,)),
+    "completion_transcript": (StubCompletionClient.from_file, "transcript.jsonl",
+                              (ValueError,)),
+    "fill_transcript": (StubFillMaskClient.from_file, "fills.jsonl", (ValueError,)),
+    # An empty log leaves report nothing to summarize: ConfigError.
+    "report_metrics": (load_report_metrics, "metrics.jsonl", (ValueError, ConfigError)),
+}
+
+
+# -- regressions: a malformed record used to escape as a raw exception -----
+
+ESCAPES = [
+    ("mc_items",
+     '{"record": "mc_item", "video_id": "v0", "answer_index": 0, '
+     '"option_kinds": ["positive", "random_negative", "random_negative", '
+     '"random_negative", "random_negative"]}\n',
+     r"mc\.jsonl:1: missing field 'options'"),
+    ("retrieval_pairs", '{"record": "pair", "video_id": "v0"}\n',
+     r"pairs\.jsonl:1: missing field 'text'"),
+    ("classification",
+     '{"record": "class_labels", "labels": ["a", "b"]}\n'
+     '{"record": "class_item", "video_id": "v0"}\n',
+     r"task\.jsonl:2: missing field 'class_index'"),
+    ("scored_pairs", '{"record": "scored_pair", "video_id": "v0", "text": "t"}\n',
+     r"scored\.jsonl:1: missing field 'label'"),
+    ("retrieval_pairs", "[1, 2]\n", r"pairs\.jsonl:1: expected a JSON object"),
+    ("completion_transcript",
+     '{"input": "a cat", "candidates": ["1. a dog"]}\nnot json\n',
+     r"transcript\.jsonl:2: invalid JSON"),
+]
+
+
+@pytest.mark.parametrize("loader,body,message", ESCAPES)
+def test_malformed_record_raises_the_loaders_error_with_its_line(tmp_path, loader, body,
+                                                                 message):
+    load, name, errors = LOADERS[loader]
+    path = tmp_path / name
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(errors[0], match=message) as excinfo:
+        load(path)
+    assert type(excinfo.value) is errors[0]
+
+
+# -- fuzz: broken files only ever raise the loader's own error ------------
+
+# One valid file per loader; the fuzz breaks it a line or a field at a time,
+# so that the later lines and the file-level checks are reached too.
+VALID = {
+    "manifest": [
+        {"record": "header", "schema_version": 1},
+        {"record": "video", "video_id": "v0", "split": "train"},
+        {"record": "video", "video_id": "v1", "split": "val"},
+        {"record": "caption", "video_id": "v0", "text": "a cat sleeping",
+         "split": "train", "verb_phrases": ["sleeping"]},
+        {"record": "generation", "parent_video_id": "v0",
+         "parent_caption": "a cat sleeping", "text": "a cat eating",
+         "kind": "hard_negative", "backend": "random_verb",
+         "verb_phrases": ["eating"], "kept": True},
+    ],
+    "mc_items": [
+        {"record": "mc_item", "video_id": "v0", "options": ["a", "b", "c", "d", "e"],
+         "answer_index": 0, "option_kinds": ["positive", "random_negative",
+                                              "hard_verb_negative", "random_negative",
+                                              "random_negative"]},
+    ],
+    "classification": [
+        {"record": "class_labels", "labels": ["a cat", "a dog"]},
+        {"record": "verb_split", "indices": [0, 1]},
+        {"record": "class_item", "video_id": "v0", "class_index": 1},
+    ],
+    "retrieval_pairs": [{"record": "pair", "video_id": "v0", "text": "a cat"}],
+    "scored_pairs": [{"record": "scored_pair", "video_id": "v0", "text": "a cat",
+                      "label": "pos"}],
+    "completion_transcript": [{"input": "a cat", "candidates": ["1. a dog"]}],
+    "fill_transcript": [{"text_with_masks": "a [MASK]", "fills": [["cat", "dog"]]}],
+    "report_metrics": [{"epoch": 0, "total": 1.5}],
+}
+
+scalars = st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=6)
+json_values = (scalars | st.lists(scalars, max_size=6)
+               | st.dictionaries(st.text(max_size=4), scalars, max_size=3)
+               | st.lists(st.lists(scalars, max_size=2), max_size=3))
+free_text = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\n"), max_size=40)
+any_line = free_text | json_values.map(lambda v: json.dumps(v, ensure_ascii=False))
+
+
+@st.composite
+def broken_file(draw, valid):
+    """The valid lines with one to three faults: a line replaced by arbitrary
+    text or JSON, a field set to any JSON value, dropped or added, or a line
+    repeated."""
+    lines = [dict(obj) for obj in valid]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        obj = lines[i]
+        fault = draw(st.sampled_from(("line", "value", "drop", "extra", "repeat")))
+        if fault == "line" or not isinstance(obj, dict) or not obj:
+            lines[i] = draw(any_line)
+        elif fault == "value":
+            obj[draw(st.sampled_from(sorted(obj)))] = draw(json_values)
+        elif fault == "drop":
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        elif fault == "extra":
+            obj[draw(st.text(max_size=4))] = draw(json_values)
+        else:
+            lines.insert(i, dict(obj))
+    return [x if isinstance(x, str) else json.dumps(x, ensure_ascii=False) for x in lines]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+BAD_VALUES = (None, True, 0, -1, 7, 1.5, float("nan"), "", "x", [], [[]], ["x"], [1], {},
+              {"a": []})
+BAD_LINES = ("not json", "[1, 2]", "null", "7", '"x"', "{}", '{"record": []}')
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_every_single_fault_raises_only_the_loaders_error(tmp_path, loader):
+    """The valid file loads; then each of its lines in turn is replaced by a
+    bad line, or has one of its fields dropped or set to each bad value."""
+    load, name, errors = LOADERS[loader]
+    valid = VALID[loader]
+    path = tmp_path / name
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in valid), encoding="utf-8")
+    load(path)
+
+    def check(i, line):
+        lines = [json.dumps(obj) for obj in valid]
+        lines[i] = line
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            load(path)
+        except errors as exc:
+            assert type(exc) in errors, (line, exc)
+
+    for i, obj in enumerate(valid):
+        for line in BAD_LINES:
+            check(i, line)
+        for key in obj:
+            check(i, json.dumps({k: v for k, v in obj.items() if k != key}))
+            for value in BAD_VALUES:
+                check(i, json.dumps({**obj, key: value}))
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_broken_files_raise_only_the_loaders_error(fuzz_dir, loader, data):
+    load, name, errors = LOADERS[loader]
+    lines = data.draw(broken_file(VALID[loader]) | st.lists(free_text, max_size=6))
+    path = fuzz_dir / loader / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        load(path)
+    except errors as exc:
+        assert type(exc) in errors, repr(exc)

@@ -38,6 +38,11 @@ def test_has_tokens_agrees_with_tokenize(s):
     assert has_tokens(s) == bool(tokenize(s))
 
 
+@given(st.text(max_size=80))
+def test_tokenize_is_split_of_normalize_text(s):
+    assert tokenize(s) == normalize_text(s).split()
+
+
 def test_is_normalized_rejects_empty_and_upper():
     assert not is_normalized("")
     assert not is_normalized("Upper case")

@@ -1,6 +1,7 @@
 """Batch sampling, SGD stepping, usage accounting, resume semantics."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ def tiny_cfg(**overrides):
 
 def test_train_config_validation_and_roundtrip():
     cfg = tiny_cfg()
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig.from_dict(asdict(cfg)) == cfg
     with pytest.raises(ValueError):
         TrainConfig(batch_size=1)
     with pytest.raises(ValueError):
