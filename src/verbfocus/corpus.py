@@ -266,7 +266,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                       "generation": generation}, CorpusError)
     if not headers:
         raise CorpusError(f"{path.name}: missing header record")
-    manifest.validate()
+    try:
+        manifest.validate()
+    except CorpusError as e:
+        raise CorpusError(f"{path.name}: {e}") from None
     for vid, split in caption_splits.items():
         if split_of[vid] != split:
             raise CorpusError(

@@ -100,9 +100,14 @@ def eval_multiple_choice(encoders: DualEncoders, items) -> MultipleChoiceReport:
     items = list(items)
     correct = 0
     picked = {kind: 0 for kind in OPTION_KINDS}
+    # Items share option texts; embed each distinct text once.
+    vecs: dict[str, np.ndarray] = {}
     for item in items:
         v = encoders.encode_video(item.video_id)
-        sims = encoders.encode_texts(item.options) @ v
+        for text in item.options:
+            if text not in vecs:
+                vecs[text] = encoders.encode_text(text)
+        sims = np.stack([vecs[text] for text in item.options]) @ v
         choice = int(np.argmax(sims))
         picked[item.option_kinds[choice]] += 1
         if choice == item.answer_index:
@@ -112,14 +117,13 @@ def eval_multiple_choice(encoders: DualEncoders, items) -> MultipleChoiceReport:
 
 
 def _ranks(sims: np.ndarray) -> np.ndarray:
-    """1-based rank of the diagonal entry per row; ties favor lower index."""
-    n = sims.shape[0]
-    ranks = np.empty(n, dtype=int)
-    for i in range(n):
-        row = sims[i]
-        order = np.lexsort((np.arange(row.size), -row))
-        ranks[i] = int(np.where(order == i)[0][0]) + 1
-    return ranks
+    """1-based rank of the diagonal entry per row; ties favor lower index.
+
+    The rank counts the entries sorted before the diagonal one by
+    (-similarity, index): every larger entry, and every equal entry left of it.
+    """
+    diag = np.diag(sims)[:, None]
+    return 1 + (sims > diag).sum(axis=1) + np.tril(sims == diag, -1).sum(axis=1)
 
 
 def eval_retrieval(encoders: DualEncoders, pairs, ks=(1, 5, 10)) -> dict:
@@ -201,8 +205,9 @@ def eval_zero_shot(encoders: DualEncoders, task: ClassificationTask,
         confusion[y, pred] += 1
         if pred == y:
             top1_hits += 1
-        order = np.lexsort((np.arange(C), -sims))
-        if y in order[:5]:
+        # Rank under (-similarity, index) without sorting: larger entries and
+        # equal ones at lower indices come first.
+        if (sims > sims[y]).sum() + (sims[:y] == sims[y]).sum() < 5:
             top5_hits += 1
     n = len(items)
     top1 = top1_hits / n if n else 0.0
@@ -355,7 +360,10 @@ def load_classification_task(path) -> ClassificationTask:
     }, EvalError)
     if labels is None:
         raise EvalError(f"{Path(path).name}: missing class_labels record")
-    return ClassificationTask(labels=labels, items=tuple(items), verb_split=verb_split)
+    try:
+        return ClassificationTask(labels=labels, items=tuple(items), verb_split=verb_split)
+    except EvalError as e:
+        raise EvalError(f"{Path(path).name}: {e}") from None
 
 
 def load_retrieval_pairs(path) -> list[tuple[str, str]]:

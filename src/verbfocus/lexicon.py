@@ -8,7 +8,8 @@ and auxiliaries (is, are, has, ...) are never treated as action verbs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -213,6 +214,29 @@ class LexiconResources:
     verb_corpus: tuple[str, ...]
     antonym_map: Mapping[str, tuple[str, ...]]
     recognizer: VerbRecognizer
+    # Inflection tag (None: unrecognized) -> sorted corpus surfaces; filled
+    # lazily by swap_options.
+    _swap_table: dict[str | None, tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def swap_options(self, core: str) -> tuple[str, ...]:
+        """Corpus verbs inflected like ``core``, sorted, without ``core``.
+
+        Equals ``sorted({inflect_like(e, core) for e in verb_corpus} - {core})``.
+        That set depends on ``core`` only through its inflection tag, so it is
+        built once per tag and ``core`` is cut out by bisection.
+        """
+        analyzed = self.recognizer.analyze(core)
+        tag = analyzed[1] if analyzed else None
+        surfaces = self._swap_table.get(tag)
+        if surfaces is None:
+            inflect_like = self.recognizer.inflect_like
+            surfaces = tuple(sorted({inflect_like(e, core) for e in self.verb_corpus}))
+            self._swap_table[tag] = surfaces
+        i = bisect_left(surfaces, core)
+        if i < len(surfaces) and surfaces[i] == core:
+            return surfaces[:i] + surfaces[i + 1:]
+        return surfaces
 
     @classmethod
     def default(cls) -> "LexiconResources":

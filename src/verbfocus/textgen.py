@@ -198,10 +198,7 @@ def _rule_rewrites(
     recognizer = resources.recognizer
 
     if cfg.backend == "random_verb":
-        def options_for(core: str) -> list[str]:
-            opts = {recognizer.inflect_like(entry, core) for entry in resources.verb_corpus}
-            opts.discard(core)
-            return sorted(opts)
+        options_for = resources.swap_options
     else:  # antonym_verb
         def options_for(core: str) -> list[str]:
             antonyms = resources.antonym_map.get(core)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -200,7 +200,12 @@ def train_step(manifest: DatasetManifest, state: TrainState, cfg: TrainConfig,
                record: BatchIndexRecord, grads: EncoderGrads | None = None):
     """One forward/backward/SGD step; returns the LossOutput."""
     enc = state.encoders
-    batch = materialize_batch(manifest, enc, record)
+    fed = record
+    if cfg.loss.negative_variant == "none":
+        # The loss never reads the sampled hard negatives: neither embed them
+        # nor send their all-zero gradients back.
+        fed = replace(record, hard_indices=[[] for _ in record.hard_indices])
+    batch = materialize_batch(manifest, enc, fed)
     out = combined_vfc(batch, cfg.loss)
     if not np.isfinite(out.total):
         raise TrainerError(
@@ -215,7 +220,7 @@ def train_step(manifest: DatasetManifest, state: TrainState, cfg: TrainConfig,
     for i, cap in enumerate(caps):
         enc.backward_video(cap.video_id, out.grads.video[i], grads)
         enc.backward_text(cap.text, out.grads.caption[i], grads)
-        for k, g in enumerate(record.hard_indices[i]):
+        for k, g in enumerate(fed.hard_indices[i]):
             enc.backward_text(manifest.generations[g].text, out.grads.hard[i][k], grads)
         p = record.phrase_choices[i]
         if p >= 0 and out.grads.verb is not None:

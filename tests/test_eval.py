@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verbfocus.encoders import DualEncoders, EncoderConfig
 from verbfocus.evaluation import (
@@ -14,6 +16,7 @@ from verbfocus.evaluation import (
     eval_multiple_choice,
     eval_pair_ap,
     eval_retrieval,
+    _ranks,
     eval_zero_shot,
     load_classification_task,
     load_mc_items,
@@ -251,6 +254,85 @@ def test_zero_shot_subset_errors():
         eval_zero_shot(enc, task, class_subset=[99])
     with pytest.raises(EvalError):
         eval_zero_shot(enc, task, class_subset=[])
+
+
+# ---------------------------------------------------------------------------
+# tie rule: small integer similarities, so that exact ties are common
+
+
+class ExactEncoders:
+    """Stand-in encoders that pass a similarity matrix through exactly.
+
+    Video ``v<i>`` is the unit vector e_i and text ``t<j>`` is row j of
+    ``rows``, so text j scores rows[j, i] against video i.
+    """
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.float64)
+
+    def encode_video(self, vid):
+        return np.eye(self.rows.shape[1])[int(vid[1:])]
+
+    def encode_videos(self, vids):
+        return np.stack([self.encode_video(v) for v in vids])
+
+    def encode_text(self, text):
+        return self.rows[int(text[1:])]
+
+    def encode_texts(self, texts):
+        return np.stack([self.encode_text(t) for t in texts])
+
+
+@st.composite
+def int_matrices(draw, rows, cols=None):
+    n = draw(rows)
+    m = n if cols is None else draw(cols)
+    cells = st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+    return np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
+
+
+def lexsort_order(row):
+    return np.lexsort((np.arange(row.size), -row))
+
+
+def lexsort_rank(row, i):
+    return int(np.flatnonzero(lexsort_order(row) == i)[0]) + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(sims=int_matrices(st.integers(1, 8)))
+def test_ranks_and_retrieval_follow_the_lexsort_tie_rule(sims):
+    n = sims.shape[0]
+    want = np.array([lexsort_rank(sims[i], i) for i in range(n)])
+    np.testing.assert_array_equal(_ranks(sims), want)
+    # Text j against video i scores sims[j, i]: t2v ranks rows of sims,
+    # v2t rows of its transpose.
+    pairs = [(f"v{i}", f"t{i}") for i in range(n)]
+    ks = tuple(range(1, n + 1))
+    out = eval_retrieval(ExactEncoders(sims), pairs, ks=ks)
+    for name, m in (("t2v", sims), ("v2t", sims.T)):
+        ranks = np.array([lexsort_rank(m[i], i) for i in range(n)])
+        assert out[name] == {f"R@{k}": float(np.mean(ranks <= k)) for k in ks}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sims=int_matrices(st.integers(1, 6), cols=st.integers(1, 8)), data=st.data())
+def test_zero_shot_follows_the_lexsort_tie_rule(sims, data):
+    n_items, C = sims.shape
+    labels = tuple(f"t{j}" for j in range(C))
+    ys = data.draw(st.lists(st.integers(0, C - 1), min_size=n_items, max_size=n_items))
+    task = ClassificationTask(labels, tuple((f"v{i}", y) for i, y in enumerate(ys)))
+    # Label j scores sims[i, j] against video i.
+    report = eval_zero_shot(ExactEncoders(sims.T), task)
+    conf = np.zeros((C, C), dtype=int)
+    top5 = 0
+    for i, y in enumerate(ys):
+        order = lexsort_order(sims[i])
+        conf[y, order[0]] += 1
+        top5 += y in order[:5]
+    np.testing.assert_array_equal(report.confusion, conf)
+    assert report.top1 == np.trace(conf) / n_items
+    assert report.top5 == top5 / n_items
 
 
 def test_subset_resample_protocol_is_seeded():

@@ -73,6 +73,35 @@ def test_malformed_record_raises_the_loaders_error_with_its_line(tmp_path, loade
     assert type(excinfo.value) is errors[0]
 
 
+# A check over the whole file names the file, like the line-level errors.
+FILE_LEVEL = [
+    ("manifest",
+     '{"record": "header", "schema_version": 1}\n'
+     '{"record": "video", "video_id": "v0", "split": "train"}\n'
+     '{"record": "video", "video_id": "v0", "split": "train"}\n',
+     r"^manifest\.jsonl: duplicate video_id 'v0'$"),
+    ("classification",
+     '{"record": "class_labels", "labels": ["a", "b"]}\n'
+     '{"record": "class_item", "video_id": "v0", "class_index": 5}\n',
+     r"^task\.jsonl: class index 5 out of range$"),
+    ("classification",
+     '{"record": "class_labels", "labels": ["a", "b"]}\n'
+     '{"record": "verb_split", "indices": [0, 2]}\n',
+     r"^task\.jsonl: verb_split index 2 out of range$"),
+]
+
+
+@pytest.mark.parametrize("loader,body,message", FILE_LEVEL,
+                         ids=["duplicate_video", "class_index", "verb_split_index"])
+def test_file_level_error_names_the_file(tmp_path, loader, body, message):
+    load, name, errors = LOADERS[loader]
+    path = tmp_path / name
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(errors[0], match=message) as excinfo:
+        load(path)
+    assert type(excinfo.value) is errors[0]
+
+
 # -- fuzz: broken files only ever raise the loader's own error ------------
 
 # One valid file per loader; the fuzz breaks it a line or a field at a time,

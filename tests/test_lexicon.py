@@ -46,6 +46,16 @@ def test_recognizer_inflect_like():
     assert rec.inflect_like("drink", "banana") == "drink"  # unknown template
 
 
+def test_swap_options_equal_the_per_core_definition():
+    """One table per inflection tag gives, for every core, the options that
+    inflecting the whole corpus like that core gives: same words, same order."""
+    res = LexiconResources.default()
+    rec = res.recognizer
+    for core in sorted(rec.table) + ["banana", "zzz"]:
+        want = sorted({rec.inflect_like(e, core) for e in res.verb_corpus} - {core})
+        assert list(res.swap_options(core)) == want, core
+
+
 def test_default_resources_cover_common_verbs():
     rec = LexiconResources.default().recognizer
     for surface in ("eating", "drives", "swam", "braiding", "dying", "fishing"):

@@ -3,8 +3,9 @@
 import pytest
 
 from verbfocus.clients import StubCompletionClient, StubFillMaskClient
-from verbfocus.corpus import CaptionRecord, DatasetManifest, VerbPhrase, VideoRecord
-from verbfocus.lexicon import LexiconResources, VerbRecognizer
+from verbfocus.corpus import (CaptionRecord, DatasetManifest, SynthSpec, VerbPhrase,
+                              VideoRecord, make_synthetic_corpus)
+from verbfocus.lexicon import TAGS, LexiconResources, VerbRecognizer
 from verbfocus.textgen import (
     CaptionSkip,
     GenBackendConfig,
@@ -184,6 +185,32 @@ def test_random_verb_preserves_capitalization_and_punctuation():
     cfg = GenBackendConfig(backend="random_verb", candidates_per_caption=1, seed=0)
     out = generate_hard_negatives(cap, cfg, res)
     assert [g.text for g in out] == ["Drinking, then napping."]
+
+
+def test_random_verb_inflects_the_lexicon_once_per_tag(monkeypatch):
+    """A manifest lexicon grows with the corpus. Swap options are built once
+    per inflection tag, not per verb site, so the inflect_like calls stay
+    within (len(TAGS) + 1) per lexicon verb however many captions there are."""
+    calls = []
+    inflect_like = VerbRecognizer.inflect_like
+
+    def counted(self, *args):
+        calls.append(args)
+        return inflect_like(self, *args)
+
+    monkeypatch.setattr(VerbRecognizer, "inflect_like", counted)
+    cfg = GenBackendConfig(backend="random_verb", candidates_per_caption=3, seed=0)
+    per_size = []
+    for cell in (1, 4):
+        source = make_synthetic_corpus(SynthSpec(n_contexts=10, verbs_per_context=4,
+                                                 captions_per_cell=cell))
+        res = LexiconResources.from_manifest(source)
+        calls.clear()
+        out = generate_for_manifest(source, cfg, res)
+        assert len(out.generations) > len(source.captions)
+        assert len(calls) <= (len(TAGS) + 1) * len(res.verb_corpus)
+        per_size.append(len(calls))
+    assert per_size[0] == per_size[1]
 
 
 def test_rule_backend_skips_verbless_caption():

@@ -154,6 +154,25 @@ def test_train_step_descends_on_tiny_manifest():
         assert key in metrics[0]
 
 
+def test_no_negative_variant_skips_the_hard_negatives(monkeypatch):
+    """Under "none" the loss never reads the sampled negatives: 12 captions
+    and 12 verb phrases go back through the text tower, not the 12
+    generations as well. Sampling still draws them, so the RNG stream holds."""
+    manifest = crossed_manifest(n_contexts=3, verbs=2, cell=2)
+    cfg = tiny_cfg(batch_size=4, epochs=1, loss=LossConfig(sigma=0.05, negative_variant="none"))
+    assert any(sample_epoch(manifest, cfg, 0).records[0].hard_indices)
+    calls = []
+    backward_text = DualEncoders.backward_text
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return backward_text(self, *args)
+
+    monkeypatch.setattr(DualEncoders, "backward_text", counted)
+    train_loop(manifest, cfg)
+    assert len(calls) == 24
+
+
 def test_train_loop_writes_metrics_log(tmp_path):
     manifest = crossed_manifest(n_contexts=2, verbs=2, cell=1)
     cfg = tiny_cfg(batch_size=4, epochs=3)
