@@ -5,42 +5,4 @@ hard negatives, calibrated so no verb phrase is over-represented as a
 negative, and an auxiliary video-to-verb-phrase alignment term.
 """
 
-from .calibration import (CalibrationReport, ConceptStats, calibrate_filter,
-                          compute_ratio, count_concepts)
-from .corpus import (CaptionRecord, CorpusError, DatasetManifest,
-                     GeneratedCaption, SynthSpec, VerbPhrase, VideoRecord,
-                     load_manifest, make_synthetic_corpus, save_manifest)
-from .encoders import DualEncoders, EncoderConfig, EncoderGrads
-from .evaluation import (ClassificationTask, MultipleChoiceItem,
-                         build_verb_split, eval_multiple_choice, eval_pair_ap,
-                         eval_retrieval, eval_zero_shot,
-                         subset_resample_protocol)
-from .lexicon import LexiconResources, VerbRecognizer, inflect
-from .losses import (BatchTensors, LossConfig, LossOutput, combined_vfc,
-                     hardneg_nce_weights, info_nce_t2v, info_nce_v2t,
-                     loss_chn, loss_hn_uncalibrated, loss_verb_phrase,
-                     uniform_normalizer)
-from .textgen import (GenBackendConfig, extract_verb_phrases,
-                      generate_hard_negatives, generate_positives,
-                      postprocess)
-from .trainer import (TrainConfig, TrainState, desk_config, reference_config,
-                      sample_epoch, simulate_usage, train_loop)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BatchTensors", "CalibrationReport", "CaptionRecord", "ClassificationTask",
-    "ConceptStats", "CorpusError", "DatasetManifest", "DualEncoders",
-    "EncoderConfig", "EncoderGrads", "GenBackendConfig", "GeneratedCaption",
-    "LexiconResources", "LossConfig", "LossOutput", "MultipleChoiceItem",
-    "SynthSpec", "TrainConfig", "TrainState", "VerbPhrase", "VerbRecognizer",
-    "VideoRecord", "build_verb_split", "calibrate_filter", "combined_vfc",
-    "compute_ratio", "count_concepts", "desk_config", "eval_multiple_choice",
-    "eval_pair_ap", "eval_retrieval", "eval_zero_shot",
-    "extract_verb_phrases", "generate_hard_negatives", "generate_positives",
-    "hardneg_nce_weights", "inflect", "info_nce_t2v", "info_nce_v2t",
-    "load_manifest", "loss_chn", "loss_hn_uncalibrated", "loss_verb_phrase",
-    "make_synthetic_corpus", "postprocess", "reference_config",
-    "sample_epoch", "save_manifest", "simulate_usage",
-    "subset_resample_protocol", "train_loop", "uniform_normalizer",
-]

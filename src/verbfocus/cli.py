@@ -27,10 +27,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .calibration import calibrate_filter
-from .clients import (CachedCompletionClient, CachedFillMaskClient,
-                      ClientError, CompletionClientConfig, HttpCompletionClient,
-                      HttpFillMaskClient, HttpTransport, StubCompletionClient,
-                      StubFillMaskClient)
+from .clients import (ClientError, CompletionClientConfig, GenerationClient,
+                      HttpTransport, ReplayTransport)
 from .corpus import load_manifest, read_jsonl, save_manifest
 from .encoders import EncoderConfig
 from .evaluation import (build_verb_split, eval_multiple_choice, eval_pair_ap,
@@ -201,40 +199,23 @@ def _build_resources(cfg: dict, manifest):
     raise ConfigError(f"gen.lexicon must be 'default' or 'manifest', got {choice!r}")
 
 
-def _build_client(cfg: dict):
-    """Completion or fill-mask client per the generation backend, or None."""
+def _build_client(cfg: dict) -> GenerationClient | None:
+    """The backend's generation client over its transcript or endpoint, or None."""
     gen = cfg["gen"]
-    backend = gen["backend"]
-    wants_completion = backend == "llm_completion" or gen["extractor"] == "llm_completion"
-    ccfg = CompletionClientConfig(
-        endpoint=gen["endpoint"], auth_env=gen["auth_env"], timeout=gen["timeout"],
-        max_retries=gen["max_retries"], cache_dir=gen["cache_dir"])
-    transport = None
-    if backend == "t5_cloze":
-        if gen["fill_transcript"]:
-            client = StubFillMaskClient.from_file(gen["fill_transcript"])
-        elif gen["endpoint"]:
-            transport = HttpTransport(ccfg)
-            client = HttpFillMaskClient(ccfg, transport)
-        else:
-            raise ConfigError(
-                "t5_cloze needs gen.fill_transcript or gen.endpoint")
-        if gen["cache_dir"]:
-            client = CachedFillMaskClient(client, gen["cache_dir"])
-        return client, transport
-    if wants_completion:
-        if gen["transcript"]:
-            client = StubCompletionClient.from_file(gen["transcript"])
-        elif gen["endpoint"]:
-            transport = HttpTransport(ccfg)
-            client = HttpCompletionClient(ccfg, transport)
-        else:
-            raise ConfigError(
-                "llm_completion needs gen.transcript or gen.endpoint")
-        if gen["cache_dir"]:
-            client = CachedCompletionClient(client, gen["cache_dir"])
-        return client, transport
-    return None, None
+    if gen["backend"] == "t5_cloze":
+        needs, transcript = "t5_cloze", "fill_transcript"
+    elif "llm_completion" in (gen["backend"], gen["extractor"]):
+        needs, transcript = "llm_completion", "transcript"
+    else:
+        return None
+    if gen[transcript]:
+        transport = ReplayTransport.from_file(gen[transcript])
+    elif gen["endpoint"]:
+        transport = HttpTransport(CompletionClientConfig(
+            endpoint=gen["endpoint"], auth_env=gen["auth_env"], timeout=gen["timeout"]))
+    else:
+        raise ConfigError(f"{needs} needs gen.{transcript} or gen.endpoint")
+    return GenerationClient(transport, gen["max_retries"], gen["cache_dir"])
 
 
 def cmd_gen(cfg: dict) -> int:
@@ -243,7 +224,7 @@ def cmd_gen(cfg: dict) -> int:
     manifest = _require_manifest(cfg)
     gen = cfg["gen"]
     resources = _build_resources(cfg, manifest)
-    client, transport = _build_client(cfg)
+    client = _build_client(cfg)
     gcfg = GenBackendConfig(
         backend=gen["backend"],
         candidates_per_caption=gen["candidates_per_caption"],
@@ -263,9 +244,9 @@ def cmd_gen(cfg: dict) -> int:
         "input_captions": len(manifest.captions),
         "generated": counts,
         "backend": gen["backend"],
-        "network_calls": transport.network_calls if transport else 0,
+        "network_calls": client.transport.network_calls if client else 0,
     }
-    if hasattr(client, "hits"):
+    if client and client.cache is not None:
         report["cache"] = {"hits": client.hits, "misses": client.misses}
     (out / "gen_report.json").write_text(
         json.dumps(report, indent=2) + "\n", encoding="utf-8")
@@ -518,31 +499,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"gen": cmd_gen, "calibrate": cmd_calibrate, "train": cmd_train,
+             "eval": cmd_eval, "report": cmd_report}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = apply_flags(load_config(args.config), args)
-        if args.command == "gen":
-            return cmd_gen(cfg)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "report":
-            return cmd_report(cfg)
         if args.command == "experiment":
             return cmd_experiment(cfg, args.name)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](cfg)
     except ValueError as exc:  # ConfigError, CorpusError, EvalError, bad transcripts
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TextGenError, TrainerError, ClientError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

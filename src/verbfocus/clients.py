@@ -1,4 +1,4 @@
-"""Completion and fill-mask clients: HTTP transport, response cache, stubs.
+"""Completion and fill-mask generation: one cached request path, two transports.
 
 Wire contracts:
   completion  POST {"prompt", "max_tokens", "temperature", "beam_size"}
@@ -6,10 +6,13 @@ Wire contracts:
   fill-mask   POST {"text_with_masks", "top_k"}
               -> {"fills": [[str, ...], ...]}   one ranked list per mask
 
-Responses are cached under a digest of the full request body; a cache hit
-never touches the transport. The stub clients replay a table-driven
-transcript keyed by the final Input line (completions) or the masked text
-(fills), so tests and offline runs are deterministic.
+A transport answers a request body: HttpTransport posts it to an endpoint,
+ReplayTransport looks it up in a recorded transcript, so tests and offline
+runs are deterministic. GenerationClient does the same for both kinds over
+either transport: look the body up in the response cache under a digest of
+endpoint + body, post it with retries, validate and parse the response, and
+store it verbatim when it yields something. An unreadable or malformed
+cache entry is a logged miss.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable
 
 from .corpus import read_jsonl
 
@@ -48,24 +51,14 @@ class CompletionClientConfig:
     endpoint: str = ""
     auth_env: str = "VERBFOCUS_API_TOKEN"
     timeout: float = 30.0
-    max_retries: int = 3
-    cache_dir: str | None = None
 
 
 class ClientError(RuntimeError):
-    """Transport failure after retries were exhausted."""
-
-
-class CompletionClient(Protocol):
-    def complete(self, prompt: str, decode: DecodeParams) -> list[str]: ...
-
-
-class FillMaskClient(Protocol):
-    def fill(self, text_with_masks: str, top_k: int) -> list[list[str]]: ...
+    """Transport failure after retries were exhausted, or a malformed response."""
 
 
 def request_digest(body: dict) -> str:
-    """Stable digest of a request body; the cache key."""
+    """Stable digest of a JSON object; the cache key."""
     canonical = json.dumps(body, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -83,32 +76,52 @@ def fill_body(text_with_masks: str, top_k: int) -> dict:
     return {"text_with_masks": text_with_masks, "top_k": top_k}
 
 
-class ResponseCache:
-    """One file per request digest holding the verbatim response JSON.
+def _strings(value: object, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must be a list of strings")
+    return list(value)
 
-    Reads are lock-free; writes are serialized and land via atomic rename.
-    """
+
+def _fills(value: object) -> list[list[str]]:
+    if not isinstance(value, list):
+        raise ValueError("fills must be a list of lists of strings")
+    return [_strings(slot, "each fills slot") for slot in value]
+
+
+def _field(response: object, name: str) -> object:
+    if not isinstance(response, dict) or name not in response:
+        raise ValueError(f"expected a JSON object with {name!r}")
+    return response[name]
+
+
+class ResponseCache:
+    """One file per request digest holding the verbatim response JSON,
+    written by atomic rename."""
 
     def __init__(self, cache_dir: str | Path):
         self.dir = Path(cache_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
-        self._write_lock = threading.Lock()
 
     def _path(self, digest: str) -> Path:
         return self.dir / f"{digest}.json"
 
-    def get(self, digest: str) -> dict | None:
+    def get(self, digest: str, parse: Callable[[object], list]) -> list | None:
+        """The parsed stored response; None when there is none, or when it
+        cannot be read or parsed (logged)."""
         path = self._path(digest)
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
+            return parse(json.loads(path.read_text(encoding="utf-8")))
         except FileNotFoundError:
+            return None
+        except (OSError, ValueError) as e:  # ValueError: bad JSON or a bad shape
+            log.warning("cache entry %s is unreadable, treated as a miss: %s", path, e)
             return None
 
     def put(self, digest: str, response: dict) -> None:
-        with self._write_lock:
-            tmp = self._path(digest).with_suffix(".tmp")
-            tmp.write_text(json.dumps(response, ensure_ascii=False), encoding="utf-8")
-            os.replace(tmp, self._path(digest))
+        # A temp name per process and thread, so concurrent writers never share one.
+        tmp = self._path(digest).with_suffix(f".{os.getpid()}.{threading.get_ident()}.tmp")
+        tmp.write_text(json.dumps(response, ensure_ascii=False), encoding="utf-8")
+        os.replace(tmp, self._path(digest))
 
 
 def with_retries(fn: Callable[[], dict], max_retries: int, sleep=time.sleep) -> dict:
@@ -134,6 +147,7 @@ class HttpTransport:
 
     def __init__(self, config: CompletionClientConfig):
         self.config = config
+        self.endpoint = config.endpoint
         self.network_calls = 0
 
     def post(self, body: dict) -> dict:
@@ -160,123 +174,83 @@ def final_input_line(prompt: str) -> str:
 
 
 @dataclass
-class StubCompletionClient:
-    """Transcript-driven completion client for offline runs.
+class ReplayTransport:
+    """Transcript-driven transport for offline runs.
 
-    The transcript maps the query caption (the prompt's final Input line) to
-    a list of candidate completions. Unknown captions yield no candidates.
+    The transcript maps a query caption (a completion prompt's final Input
+    line) to ``{"candidates": [...]}`` and a masked text to ``{"fills":
+    [...]}``. Unknown keys answer with no candidates or fills. Every posted
+    body is kept in ``calls``.
     """
 
-    transcript: dict[str, list[str]]
+    transcript: dict[str, dict]
+    endpoint: str = "transcript"
     calls: list[dict] = field(default_factory=list)
+    network_calls = 0  # a replay never reaches the network
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "StubCompletionClient":
-        table: dict[str, list[str]] = {}
+    def from_file(cls, path: str | Path) -> "ReplayTransport":
+        """Load completion lines ``{"input", "candidates"}`` and fill lines
+        ``{"text_with_masks", "fills"}``; a bad line raises ValueError."""
+        table: dict[str, dict] = {}
 
         def entry(obj):
-            table[obj["input"]] = list(obj["candidates"])
+            if "input" in obj:
+                table.setdefault(obj["input"], {})["candidates"] = _strings(
+                    obj["candidates"], "candidates")
+            else:
+                table.setdefault(obj["text_with_masks"], {})["fills"] = _fills(obj["fills"])
 
         read_jsonl(path, entry, ValueError)
-        return cls(table)
+        return cls(table, endpoint=f"transcript:{Path(path).resolve()}")
 
-    def complete(self, prompt: str, decode: DecodeParams) -> list[str]:
-        self.calls.append(completion_body(prompt, decode))
-        key = final_input_line(prompt)
-        if key not in self.transcript:
-            log.warning("stub transcript has no entry for %r", key)
-            return []
-        return list(self.transcript[key])
-
-
-@dataclass
-class StubFillMaskClient:
-    """Transcript-driven fill-mask client keyed by the masked text."""
-
-    transcript: dict[str, list[list[str]]]
-    calls: list[dict] = field(default_factory=list)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "StubFillMaskClient":
-        table: dict[str, list[list[str]]] = {}
-
-        def entry(obj):
-            table[obj["text_with_masks"]] = [list(f) for f in obj["fills"]]
-
-        read_jsonl(path, entry, ValueError)
-        return cls(table)
-
-    def fill(self, text_with_masks: str, top_k: int) -> list[list[str]]:
-        self.calls.append(fill_body(text_with_masks, top_k))
-        fills = self.transcript.get(text_with_masks)
-        if fills is None:
-            log.warning("stub transcript has no entry for %r", text_with_masks)
-            return []
-        return [list(f)[:top_k] for f in fills]
+    def post(self, body: dict) -> dict:
+        self.calls.append(body)
+        if "prompt" in body:
+            key, kind = final_input_line(body["prompt"]), "candidates"
+        else:
+            key, kind = body["text_with_masks"], "fills"
+        response = self.transcript.get(key, {})
+        if kind not in response:
+            log.warning("transcript has no entry for %r", key)
+            return {kind: []}
+        return {kind: response[kind]}
 
 
-class HttpCompletionClient:
-    def __init__(self, config: CompletionClientConfig, transport: HttpTransport | None = None):
-        self.config = config
-        self.transport = transport or HttpTransport(config)
+class GenerationClient:
+    """Completions and fills over one transport, with an optional response
+    cache counting its hits and misses."""
 
-    def complete(self, prompt: str, decode: DecodeParams) -> list[str]:
-        body = completion_body(prompt, decode)
-        resp = with_retries(lambda: self.transport.post(body), self.config.max_retries)
-        if "candidates" not in resp or not isinstance(resp["candidates"], list):
-            raise ClientError(f"malformed completion response: {sorted(resp)}")
-        return [str(c) for c in resp["candidates"]]
-
-
-class HttpFillMaskClient:
-    def __init__(self, config: CompletionClientConfig, transport: HttpTransport | None = None):
-        self.config = config
-        self.transport = transport or HttpTransport(config)
-
-    def fill(self, text_with_masks: str, top_k: int) -> list[list[str]]:
-        body = fill_body(text_with_masks, top_k)
-        resp = with_retries(lambda: self.transport.post(body), self.config.max_retries)
-        if "fills" not in resp or not isinstance(resp["fills"], list):
-            raise ClientError(f"malformed fill response: {sorted(resp)}")
-        return [[str(x) for x in fills] for fills in resp["fills"]]
-
-
-class CachedCompletionClient:
-    """Wraps a completion client with the digest-keyed response cache."""
-
-    def __init__(self, inner: CompletionClient, cache_dir: str | Path):
-        self.inner = inner
-        self.cache = ResponseCache(cache_dir)
+    def __init__(self, transport: HttpTransport | ReplayTransport, max_retries: int = 3,
+                 cache_dir: str | Path | None = None):
+        self.transport = transport
+        self.max_retries = max_retries
+        self.cache = ResponseCache(cache_dir) if cache_dir else None
         self.hits = 0
         self.misses = 0
 
     def complete(self, prompt: str, decode: DecodeParams) -> list[str]:
-        digest = request_digest(completion_body(prompt, decode))
-        cached = self.cache.get(digest)
-        if cached is not None:
-            self.hits += 1
-            return [str(c) for c in cached["candidates"]]
-        self.misses += 1
-        candidates = self.inner.complete(prompt, decode)
-        self.cache.put(digest, {"candidates": candidates})
-        return candidates
-
-
-class CachedFillMaskClient:
-    def __init__(self, inner: FillMaskClient, cache_dir: str | Path):
-        self.inner = inner
-        self.cache = ResponseCache(cache_dir)
-        self.hits = 0
-        self.misses = 0
+        return self._request(completion_body(prompt, decode),
+                             lambda resp: _strings(_field(resp, "candidates"), "candidates"))
 
     def fill(self, text_with_masks: str, top_k: int) -> list[list[str]]:
-        digest = request_digest(fill_body(text_with_masks, top_k))
-        cached = self.cache.get(digest)
-        if cached is not None:
-            self.hits += 1
-            return [list(f) for f in cached["fills"]]
-        self.misses += 1
-        fills = self.inner.fill(text_with_masks, top_k)
-        self.cache.put(digest, {"fills": fills})
-        return fills
+        return self._request(fill_body(text_with_masks, top_k),
+                             lambda resp: [slot[:top_k] for slot in _fills(_field(resp, "fills"))])
 
+    def _request(self, body: dict, parse: Callable[[object], list]) -> list:
+        """Cache lookup, transport call, parse and cache store, for either kind."""
+        digest = request_digest({"endpoint": self.transport.endpoint, "body": body})
+        if self.cache is not None:
+            result = self.cache.get(digest, parse)
+            if result:
+                self.hits += 1
+                return result
+            self.misses += 1
+        response = with_retries(lambda: self.transport.post(body), self.max_retries)
+        try:
+            result = parse(response)
+        except ValueError as e:
+            raise ClientError(f"malformed response from {self.transport.endpoint}: {e}") from None
+        if result and self.cache is not None:
+            self.cache.put(digest, response)
+        return result

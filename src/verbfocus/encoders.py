@@ -17,6 +17,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -208,14 +209,20 @@ class DualEncoders:
         config = EncoderConfig(**header["config"])
         vshape = tuple(header["video_shape"])
         tshape = tuple(header["token_shape"])
-        vbytes = fh.read(8 * vshape[0] * vshape[1])
-        tbytes = fh.read(8 * tshape[0] * tshape[1])
-        video = np.frombuffer(vbytes, dtype="<f8").astype(np.float64).reshape(vshape)
-        token = np.frombuffer(tbytes, dtype="<f8").astype(np.float64).reshape(tshape)
+        nv, nt = math.prod(vshape), math.prod(tshape)
+        payload = fh.read()
+        if len(payload) != 8 * (nv + nt):
+            raise EncoderError(f"checkpoint payload is {len(payload)} bytes, expected "
+                               f"{8 * (nv + nt)} for tables {list(vshape)} and {list(tshape)}")
+        video = np.frombuffer(payload, "<f8", nv).astype(np.float64).reshape(vshape)
+        token = np.frombuffer(payload, "<f8", nt, 8 * nv).astype(np.float64).reshape(tshape)
         return cls(config, header["video_ids"], header["vocab"],
-                   video_table=video.copy(), token_table=token.copy())
+                   video_table=video, token_table=token)
 
     @classmethod
     def load_checkpoint(cls, path) -> "DualEncoders":
         with open(path, "rb") as fh:
-            return cls.load_from(fh)
+            try:
+                return cls.load_from(fh)
+            except EncoderError as e:
+                raise EncoderError(f"{Path(path).name}: {e}") from None

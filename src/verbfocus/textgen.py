@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clients import (
-    CompletionClient,
     DecodeParams,
     EXTRACTION_DECODE,
-    FillMaskClient,
+    GenerationClient,
     HARD_NEGATIVE_DECODE,
     POSITIVE_DECODE,
 )
@@ -121,7 +120,9 @@ def filter_hard_negative_candidates(
         phrases = rule_phrases(cand, resources)
         if {p.surface for p in phrases} & parent_phrases:
             continue
-        if (_phrase_heads(phrases) | _verb_tokens(cand, resources)) & parent_heads:
+        # rule_phrases yields one single-token phrase per tagged verb, so the
+        # phrase heads already are the candidate's tagged verbs.
+        if _phrase_heads(phrases) & parent_heads:
             continue
         out.append((cand, phrases))
     return out
@@ -231,7 +232,7 @@ def generate_hard_negatives(
     caption: CaptionRecord,
     cfg: GenBackendConfig,
     resources: LexiconResources | None = None,
-    client: CompletionClient | FillMaskClient | None = None,
+    client: GenerationClient | None = None,
 ) -> list[GeneratedCaption]:
     """Up to candidates_per_caption filtered hard negatives for one caption."""
     resources = resources or LexiconResources.default()
@@ -265,7 +266,7 @@ def generate_positives(
     caption: CaptionRecord,
     cfg: GenBackendConfig,
     resources: LexiconResources | None = None,
-    client: CompletionClient | None = None,
+    client: GenerationClient | None = None,
 ) -> list[GeneratedCaption]:
     """Paraphrases with swapped verbs; kept when the surface form changed.
 
@@ -310,7 +311,7 @@ def extract_verb_phrases(
     caption: CaptionRecord,
     backend: str = "rule_tagger",
     resources: LexiconResources | None = None,
-    client: CompletionClient | None = None,
+    client: GenerationClient | None = None,
 ) -> tuple[VerbPhrase, ...]:
     """Verb phrases of a caption; an empty result is a valid outcome."""
     if backend not in EXTRACT_BACKENDS:
@@ -341,7 +342,7 @@ def t5_cloze_generate(
     caption: CaptionRecord,
     cfg: GenBackendConfig,
     resources: LexiconResources | None = None,
-    fill_client: FillMaskClient | None = None,
+    fill_client: GenerationClient | None = None,
 ) -> list[GeneratedCaption]:
     """Mask all tagged verbs jointly, take top-k fills, filter same-verb.
 
@@ -386,7 +387,7 @@ def generate_for_manifest(
     manifest: DatasetManifest,
     cfg: GenBackendConfig,
     resources: LexiconResources | None = None,
-    client: CompletionClient | FillMaskClient | None = None,
+    client: GenerationClient | None = None,
     kinds: tuple[str, ...] = ("hard_negative",),
     extractor: str | None = None,
 ) -> DatasetManifest:

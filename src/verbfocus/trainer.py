@@ -22,12 +22,13 @@ import json
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
 from .calibration import VARIANT_FROM_LOSS
 from .corpus import CaptionRecord, DatasetManifest
-from .encoders import DualEncoders, EncoderConfig, EncoderGrads
+from .encoders import DualEncoders, EncoderConfig, EncoderError, EncoderGrads
 from .losses import BatchTensors, LossConfig, combined_vfc
 
 TRAIN_CHECKPOINT_FORMAT = "verbfocus-train"
@@ -293,12 +294,15 @@ def save_train_checkpoint(path, state: TrainState, cfg: TrainConfig) -> None:
 
 def load_train_checkpoint(path) -> tuple[TrainState, TrainConfig]:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != TRAIN_CHECKPOINT_FORMAT:
-            raise TrainerError(f"not a training checkpoint: {header.get('format')!r}")
-        if header.get("version") != TRAIN_CHECKPOINT_VERSION:
-            raise TrainerError(f"unsupported checkpoint version {header.get('version')!r}")
-        encoders = DualEncoders.load_from(fh)
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+            if header.get("format") != TRAIN_CHECKPOINT_FORMAT:
+                raise TrainerError(f"not a training checkpoint: {header.get('format')!r}")
+            if header.get("version") != TRAIN_CHECKPOINT_VERSION:
+                raise TrainerError(f"unsupported checkpoint version {header.get('version')!r}")
+            encoders = DualEncoders.load_from(fh)
+        except (EncoderError, TrainerError) as e:
+            raise type(e)(f"{Path(path).name}: {e}") from None
     cfg = TrainConfig.from_dict(header["train_config"])
     state = TrainState(encoders=encoders, epoch=header["epoch"], step=header["step"])
     return state, cfg

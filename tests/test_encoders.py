@@ -177,6 +177,20 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("cut", ["one byte", "one token row", "one byte added"])
+def test_checkpoint_with_wrong_payload_size_names_the_file(tmp_path, cut):
+    enc = small_encoders()
+    path = tmp_path / "enc.ckpt"
+    enc.save_checkpoint(path)
+    raw = path.read_bytes()
+    row = 8 * enc.config.dim
+    path.write_bytes({"one byte": raw[:-1], "one token row": raw[:-row],
+                      "one byte added": raw + b"\0"}[cut])
+    with pytest.raises(EncoderError, match=r"^enc\.ckpt: checkpoint payload is \d+ bytes, "
+                                           r"expected 256 for tables \[3, 4\] and \[5, 4\]$"):
+        DualEncoders.load_checkpoint(path)
+
+
 def test_checkpoint_rejects_foreign_headers():
     enc = small_encoders()
     buf = io.BytesIO()

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verbfocus.cli import ConfigError, cmd_report
-from verbfocus.clients import StubCompletionClient, StubFillMaskClient
+from verbfocus.clients import ReplayTransport
 from verbfocus.corpus import CorpusError, load_manifest
 from verbfocus.evaluation import (EvalError, load_classification_task,
                                   load_mc_items, load_retrieval_pairs,
@@ -31,9 +31,8 @@ LOADERS = {
     "classification": (load_classification_task, "task.jsonl", (EvalError,)),
     "retrieval_pairs": (load_retrieval_pairs, "pairs.jsonl", (EvalError,)),
     "scored_pairs": (load_scored_pairs, "scored.jsonl", (EvalError,)),
-    "completion_transcript": (StubCompletionClient.from_file, "transcript.jsonl",
-                              (ValueError,)),
-    "fill_transcript": (StubFillMaskClient.from_file, "fills.jsonl", (ValueError,)),
+    "completion_transcript": (ReplayTransport.from_file, "transcript.jsonl", (ValueError,)),
+    "fill_transcript": (ReplayTransport.from_file, "fills.jsonl", (ValueError,)),
     # An empty log leaves report nothing to summarize: ConfigError.
     "report_metrics": (load_report_metrics, "metrics.jsonl", (ValueError, ConfigError)),
 }

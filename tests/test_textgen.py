@@ -2,7 +2,7 @@
 
 import pytest
 
-from verbfocus.clients import StubCompletionClient, StubFillMaskClient
+from verbfocus.clients import GenerationClient, ReplayTransport
 from verbfocus.corpus import (CaptionRecord, DatasetManifest, SynthSpec, VerbPhrase,
                               VideoRecord, make_synthetic_corpus)
 from verbfocus.lexicon import TAGS, LexiconResources, VerbRecognizer
@@ -27,6 +27,16 @@ def tiny_resources(bases=("eat", "drink", "run", "walk", "sit"), antonyms=None):
         antonym_map=antonyms or {},
         recognizer=VerbRecognizer.from_bases(bases),
     )
+
+
+def stub_completions(table):
+    """A client replaying query caption -> candidate completions."""
+    return GenerationClient(ReplayTransport({k: {"candidates": v} for k, v in table.items()}))
+
+
+def stub_fills(table):
+    """A client replaying masked text -> one ranked list per mask."""
+    return GenerationClient(ReplayTransport({k: {"fills": v} for k, v in table.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +256,7 @@ def test_antonym_verb_skips_without_map_entry():
 def test_llm_completion_caps_at_candidates_per_caption():
     res = tiny_resources(bases=("eat", "munch", "devour"))
     cap = CaptionRecord("v9", "a man is eating a sandwich", (VerbPhrase("eating"),))
-    stub = StubCompletionClient(
+    stub = stub_completions(
         {
             cap.text: [
                 "1. A man is munching a sandwich.\n"
@@ -274,7 +284,7 @@ def test_llm_completion_requires_client():
 def test_generate_positives_drops_parent_and_dupes_keeps_verb_overlap():
     res = tiny_resources(bases=("eat", "munch", "devour"))
     cap = CaptionRecord("v3", "a man is eating a sandwich", (VerbPhrase("eating"),))
-    stub = StubCompletionClient(
+    stub = stub_completions(
         {
             cap.text: [
                 "1. A man is eating a sandwich.\n"
@@ -301,7 +311,7 @@ def test_generate_positives_drops_parent_and_dupes_keeps_verb_overlap():
 def test_generate_positives_cap():
     res = tiny_resources(bases=("eat",))
     cap = CaptionRecord("v", "a man is eating", (VerbPhrase("eating"),))
-    stub = StubCompletionClient({cap.text: ["1. first one\n2. second one\n3. third one"]})
+    stub = stub_completions({cap.text: ["1. first one\n2. second one\n3. third one"]})
     out = generate_positives(cap, GenBackendConfig(candidates_per_caption=2), res, stub)
     assert [g.text for g in out] == ["first one", "second one"]
 
@@ -322,7 +332,7 @@ def test_t5_cloze_masks_all_verbs_jointly():
         "v5", "a man is eating and drinking", (VerbPhrase("eating"), VerbPhrase("drinking"))
     )
     masked = "a man is [MASK] and [MASK]"
-    stub = StubFillMaskClient(
+    stub = stub_fills(
         {masked: [["running", "walking", "eating"], ["walking", "sitting", "drinking"]]}
     )
     cfg = GenBackendConfig(backend="t5_cloze", top_k_fill=3)
@@ -332,7 +342,7 @@ def test_t5_cloze_masks_all_verbs_jointly():
         "a man is running and walking",
         "a man is walking and sitting",
     ]
-    assert stub.calls[0]["text_with_masks"] == masked
+    assert stub.transport.calls[0]["text_with_masks"] == masked
     for g in out:
         assert g.backend == "t5_cloze"
 
@@ -340,7 +350,7 @@ def test_t5_cloze_masks_all_verbs_jointly():
 def test_t5_cloze_top_k_truncates_ranks():
     res = tiny_resources()
     cap = CaptionRecord("v", "a man is eating", (VerbPhrase("eating"),))
-    stub = StubFillMaskClient(
+    stub = stub_fills(
         {"a man is [MASK]": [["running", "walking", "sitting"]]}
     )
     cfg = GenBackendConfig(backend="t5_cloze", top_k_fill=2)
@@ -353,7 +363,7 @@ def test_t5_cloze_slot_count_mismatch_is_an_error():
     cap = CaptionRecord(
         "v", "a man is eating and drinking", (VerbPhrase("eating"), VerbPhrase("drinking"))
     )
-    stub = StubFillMaskClient({"a man is [MASK] and [MASK]": [["running"]]})
+    stub = stub_fills({"a man is [MASK] and [MASK]": [["running"]]})
     with pytest.raises(TextGenError):
         t5_cloze_generate(cap, GenBackendConfig(backend="t5_cloze"), res, stub)
 
@@ -361,7 +371,7 @@ def test_t5_cloze_slot_count_mismatch_is_an_error():
 def test_t5_cloze_empty_fills_yield_nothing():
     res = tiny_resources()
     cap = CaptionRecord("v", "a man is eating", (VerbPhrase("eating"),))
-    stub = StubFillMaskClient({})
+    stub = stub_fills({})
     assert t5_cloze_generate(cap, GenBackendConfig(backend="t5_cloze"), res, stub) == []
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from verbfocus.corpus import CaptionRecord, DatasetManifest, VerbPhrase, VideoRecord
-from verbfocus.encoders import DualEncoders, EncoderConfig
+from verbfocus.encoders import DualEncoders, EncoderConfig, EncoderError
 from verbfocus.losses import LossConfig
 from verbfocus.trainer import (
     TrainConfig,
@@ -225,6 +225,24 @@ def test_checkpoint_header_is_timing_free(tmp_path):
     save_train_checkpoint(path, state, cfg)
     header = json.loads(path.read_bytes().split(b"\n", 1)[0])
     assert set(header) == {"format", "version", "train_config", "epoch", "step"}
+
+
+@pytest.mark.parametrize("cut", [1, 8 * 6])
+def test_truncated_checkpoint_names_the_file(tmp_path, cut):
+    """A file cut by one byte or by one whole token row (dim 6) fails with
+    the file's name instead of inside numpy."""
+    manifest = crossed_manifest(n_contexts=2, verbs=2, cell=1)
+    cfg = tiny_cfg(batch_size=4, epochs=1)
+    assert cfg.encoder.dim == 6
+    state, _ = train_loop(manifest, cfg)
+    path = tmp_path / "ckpt.bin"
+    save_train_checkpoint(path, state, cfg)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(EncoderError, match=r"^ckpt\.bin: checkpoint payload is"):
+        load_train_checkpoint(path)
+    path.write_bytes(b'{"format": "other"}\n')
+    with pytest.raises(TrainerError, match=r"^ckpt\.bin: not a training checkpoint"):
+        load_train_checkpoint(path)
 
 
 def test_periodic_checkpoints(tmp_path):
