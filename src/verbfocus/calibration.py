@@ -153,13 +153,7 @@ def calibrate_filter(manifest: DatasetManifest) -> tuple[DatasetManifest, Calibr
 
     before = count_concepts(manifest, kept_only=True)
 
-    candidates: dict[tuple[str, str], list[int]] = {}
-    for idx, gen in enumerate(manifest.generations):
-        if gen.kind != "hard_negative" or not gen.kept:
-            continue
-        candidates.setdefault((gen.parent_video_id, gen.parent_caption), []).append(idx)
-    for queue in candidates.values():
-        queue.sort(key=lambda i: (_candidate_sort_key(manifest.generations[i].text), i))
+    candidates = manifest.negative_pools()
 
     caption_order = {}
     for pos, cap in enumerate(manifest.captions):
@@ -170,7 +164,8 @@ def calibrate_filter(manifest: DatasetManifest) -> tuple[DatasetManifest, Calibr
                          min(candidates[key])),
     )
 
-    pending = {key: list(candidates[key]) for key in parents}
+    pending = {key: sorted(candidates[key], key=lambda i: (
+        _candidate_sort_key(manifest.generations[i].text), i)) for key in parents}
     decisions: dict[int, bool] = {}
     while True:
         kept_this_pass = 0

@@ -8,13 +8,20 @@ failure.
 
 Pipeline artifacts inside the output directory:
 
+  config.json                 every      merged config (all commands but report)
   manifest_generated.jsonl    gen        corpus plus generations
+  gen_report.json             gen        generation counts, network calls, cache
   manifest_calibrated.jsonl   calibrate  generations with kept flags set
+  calibration_report.json     calibrate  per-concept S and G before/after filtering
   checkpoints/                train      training checkpoints
   metrics.jsonl               train      one record per epoch
   eval_report.json            eval       metrics for the configured tasks
+  confusion.csv               eval       zero-shot confusion (eval.classification)
   experiment_<name>/          experiment seeded scenario results
   summary.json                report     merged view of the above
+
+Every artifact but metrics.jsonl is replaced atomically (corpus.write_atomic);
+the log is streamed because a resumed run appends to it.
 """
 
 from __future__ import annotations
@@ -23,13 +30,14 @@ import argparse
 import copy
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
 from .calibration import calibrate_filter
 from .clients import (ClientError, CompletionClientConfig, GenerationClient,
                       HttpTransport, ReplayTransport)
-from .corpus import load_manifest, read_jsonl, save_manifest
+from .corpus import load_manifest, read_jsonl, save_manifest, write_atomic
 from .encoders import EncoderConfig
 from .evaluation import (build_verb_split, eval_multiple_choice, eval_pair_ap,
                          eval_retrieval, eval_zero_shot,
@@ -176,9 +184,8 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def _echo_config(cfg: dict, out: Path) -> None:
-    (out / "config.json").write_text(
-        json.dumps(cfg, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+def _write_json(path: Path, obj) -> None:
+    write_atomic(path, (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
 
 
 def _require_manifest(cfg: dict):
@@ -220,7 +227,7 @@ def _build_client(cfg: dict) -> GenerationClient | None:
 
 def cmd_gen(cfg: dict) -> int:
     out = _out_dir(cfg)
-    _echo_config(cfg, out)
+    _write_json(out / "config.json", cfg)
     manifest = _require_manifest(cfg)
     gen = cfg["gen"]
     resources = _build_resources(cfg, manifest)
@@ -237,9 +244,7 @@ def cmd_gen(cfg: dict) -> int:
         manifest, gcfg, resources, client,
         kinds=tuple(gen["kinds"]), extractor=gen["extractor"])
     save_manifest(result, out / "manifest_generated.jsonl")
-    counts = {}
-    for g in result.generations[before:]:
-        counts[g.kind] = counts.get(g.kind, 0) + 1
+    counts = dict(Counter(g.kind for g in result.generations[before:]))
     report = {
         "input_captions": len(manifest.captions),
         "generated": counts,
@@ -248,8 +253,7 @@ def cmd_gen(cfg: dict) -> int:
     }
     if client and client.cache is not None:
         report["cache"] = {"hits": client.hits, "misses": client.misses}
-    (out / "gen_report.json").write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    _write_json(out / "gen_report.json", report)
     print(f"generated {sum(counts.values())} caption(s) -> {out / 'manifest_generated.jsonl'}")
     print(f"network calls: {report['network_calls']}")
     return 0
@@ -257,7 +261,7 @@ def cmd_gen(cfg: dict) -> int:
 
 def cmd_calibrate(cfg: dict) -> int:
     out = _out_dir(cfg)
-    _echo_config(cfg, out)
+    _write_json(out / "config.json", cfg)
     gen_path = out / "manifest_generated.jsonl"
     if gen_path.exists():
         manifest = load_manifest(gen_path)
@@ -271,9 +275,7 @@ def cmd_calibrate(cfg: dict) -> int:
             "manifest has no generated hard negatives; run the gen command first")
     filtered, report = calibrate_filter(manifest)
     save_manifest(filtered, out / "manifest_calibrated.jsonl")
-    (out / "calibration_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8")
+    _write_json(out / "calibration_report.json", report.to_dict())
     print(report.render(top_k=10))
     print(f"wrote {out / 'manifest_calibrated.jsonl'}")
     return 0
@@ -308,7 +310,7 @@ def _resolve_train_input(cfg: dict, out: Path):
 
 def cmd_train(cfg: dict) -> int:
     out = _out_dir(cfg)
-    _echo_config(cfg, out)
+    _write_json(out / "config.json", cfg)
     manifest = _resolve_train_input(cfg, out)
     tcfg = make_train_config(cfg)
     if tcfg.loss.negative_variant in ("hn_uncalibrated", "calibrated_hn"):
@@ -332,7 +334,7 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_eval(cfg: dict) -> int:
     out = _out_dir(cfg)
-    _echo_config(cfg, out)
+    _write_json(out / "config.json", cfg)
     ev = cfg["eval"]
     ckpt = ev["checkpoint"] or out / "checkpoints" / "checkpoint_final.bin"
     if not Path(ckpt).exists():
@@ -365,8 +367,7 @@ def cmd_eval(cfg: dict) -> int:
     if not report:
         raise ConfigError("no eval tasks configured: set eval.mc_items, "
                           "eval.retrieval_pairs, eval.classification, or eval.pair_ap")
-    (out / "eval_report.json").write_text(
-        json.dumps(report, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    _write_json(out / "eval_report.json", report)
     for task_name, metrics in report.items():
         if isinstance(metrics, dict):
             keys = [k for k in ("accuracy", "top1", "top5", "average") if k in metrics]
@@ -396,8 +397,7 @@ def cmd_report(cfg: dict) -> int:
             summary[exp_dir.name] = json.loads(result.read_text(encoding="utf-8"))
     if not summary:
         raise ConfigError(f"nothing to report in {out}; run other commands first")
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    _write_json(out / "summary.json", summary)
     print(f"sections: {', '.join(sorted(summary))}")
     print(f"wrote {out / 'summary.json'}")
     return 0
@@ -444,7 +444,7 @@ def cmd_experiment(cfg: dict, name: str) -> int:
         raise ConfigError(f"unknown experiment {name!r}")
     run, subdirs, show = _EXPERIMENTS[name]
     out = _out_dir(cfg)
-    _echo_config(cfg, out)
+    _write_json(out / "config.json", cfg)
     exp_dir = out / f"experiment_{name}"
     exp_dir.mkdir(exist_ok=True)
     kwargs = {"seed": cfg["seed"]}
@@ -457,9 +457,7 @@ def cmd_experiment(cfg: dict, name: str) -> int:
         kwargs["checkpoint_dirs"] = tuple(str(exp_dir / d) for d in subdirs)
     result = run(**kwargs)
     show(result)
-    (exp_dir / "result.json").write_text(
-        json.dumps(result.to_dict(), indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8")
+    _write_json(exp_dir / "result.json", result.to_dict())
     print(f"wrote {exp_dir / 'result.json'}")
     return 0
 

@@ -22,13 +22,12 @@ import json
 import logging
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .corpus import read_jsonl
+from .corpus import read_jsonl, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -96,7 +95,7 @@ def _field(response: object, name: str) -> object:
 
 class ResponseCache:
     """One file per request digest holding the verbatim response JSON,
-    written by atomic rename."""
+    written atomically."""
 
     def __init__(self, cache_dir: str | Path):
         self.dir = Path(cache_dir)
@@ -118,10 +117,7 @@ class ResponseCache:
             return None
 
     def put(self, digest: str, response: dict) -> None:
-        # A temp name per process and thread, so concurrent writers never share one.
-        tmp = self._path(digest).with_suffix(f".{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps(response, ensure_ascii=False), encoding="utf-8")
-        os.replace(tmp, self._path(digest))
+        write_atomic(self._path(digest), json.dumps(response, ensure_ascii=False).encode("utf-8"))
 
 
 def with_retries(fn: Callable[[], dict], max_retries: int, sleep=time.sleep) -> dict:

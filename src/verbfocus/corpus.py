@@ -9,7 +9,9 @@ schemas; ordering inside the file is preserved by load/save round trips.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+import os
+import threading
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -104,6 +106,14 @@ class DatasetManifest:
         by_id = self.video_index()
         return [c for c in self.captions if by_id[c.video_id].split == split]
 
+    def negative_pools(self) -> dict[tuple[str, str], list[int]]:
+        """Kept hard-negative indices by parent (video id, caption), in generation order."""
+        pools: dict[tuple[str, str], list[int]] = {}
+        for idx, gen in enumerate(self.generations):
+            if gen.kind == "hard_negative" and gen.kept:
+                pools.setdefault((gen.parent_video_id, gen.parent_caption), []).append(idx)
+        return pools
+
     def validate(self) -> None:
         seen: set[str] = set()
         for v in self.videos:
@@ -177,6 +187,27 @@ def read_jsonl(path: str | Path, parse: Parser | dict[str, Parser],
     return records
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` via a same-directory temp file (named per
+    process and thread) and one ``os.replace``: a reader sees the old file or
+    the new one, never a prefix. Nothing is fsynced, so this covers an
+    interrupted process, not a power cut."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write each record as one JSON line, atomically; read_jsonl reads it back."""
+    body = "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in records)
+    write_atomic(path, body.encode("utf-8"))
+
+
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     """Write the manifest as JSONL with a fixed key order (round-trip stable)."""
     manifest.validate()
@@ -207,8 +238,7 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
                 "kept": g.kept,
             }
         )
-    body = "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in lines)
-    Path(path).write_text(body, encoding="utf-8", newline="\n")
+    write_jsonl(path, lines)
 
 
 def _require_tokens(text: str, what: str) -> None:

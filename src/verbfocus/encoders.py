@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DatasetManifest
+from .corpus import DatasetManifest, write_atomic
 from .text import tokenize
 
 CHECKPOINT_FORMAT = "verbfocus-encoders"
@@ -180,7 +180,8 @@ class DualEncoders:
 
     # -- checkpointing ---------------------------------------------------
 
-    def save_to(self, fh: io.BufferedIOBase) -> None:
+    def to_bytes(self) -> bytes:
+        """The checkpoint: a JSON header line, then both tables as little-endian f8."""
         header = {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
@@ -190,14 +191,12 @@ class DualEncoders:
             "video_shape": list(self.video_table.shape),
             "token_shape": list(self.token_table.shape),
         }
-        fh.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(self.video_table, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(self.token_table, dtype="<f8").tobytes())
+        return b"".join((json.dumps(header, ensure_ascii=False).encode("utf-8"), b"\n",
+                         np.ascontiguousarray(self.video_table, dtype="<f8").tobytes(),
+                         np.ascontiguousarray(self.token_table, dtype="<f8").tobytes()))
 
     def save_checkpoint(self, path) -> None:
-        with open(path, "wb") as fh:
-            self.save_to(fh)
+        write_atomic(path, self.to_bytes())
 
     @classmethod
     def load_from(cls, fh: io.BufferedIOBase) -> "DualEncoders":

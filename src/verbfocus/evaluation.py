@@ -9,13 +9,12 @@ deterministic tie rule: argmax picks the lowest index, rankings sort by
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import read_jsonl
+from .corpus import read_jsonl, write_atomic, write_jsonl
 from .encoders import DualEncoders
 from .lexicon import STOPWORDS, VerbRecognizer
 from .text import tokenize
@@ -307,15 +306,9 @@ def subset_resample_protocol(encoders: DualEncoders, task: ClassificationTask,
 # -- task file I/O -------------------------------------------------------
 
 def save_mc_items(path, items) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(json.dumps({
-                "record": "mc_item",
-                "video_id": item.video_id,
-                "options": list(item.options),
-                "answer_index": item.answer_index,
-                "option_kinds": list(item.option_kinds),
-            }, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({"record": "mc_item", "video_id": item.video_id,
+                        "options": list(item.options), "answer_index": item.answer_index,
+                        "option_kinds": list(item.option_kinds)} for item in items))
 
 
 def _mc_item(obj) -> MultipleChoiceItem:
@@ -328,15 +321,11 @@ def load_mc_items(path) -> list[MultipleChoiceItem]:
 
 
 def save_classification_task(path, task: ClassificationTask) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"record": "class_labels", "labels": list(task.labels)},
-                            ensure_ascii=False) + "\n")
-        if task.verb_split is not None:
-            fh.write(json.dumps({"record": "verb_split",
-                                 "indices": list(task.verb_split)}) + "\n")
-        for vid, c in task.items:
-            fh.write(json.dumps({"record": "class_item", "video_id": vid,
-                                 "class_index": c}, ensure_ascii=False) + "\n")
+    split = [] if task.verb_split is None else [
+        {"record": "verb_split", "indices": list(task.verb_split)}]
+    write_jsonl(path, [{"record": "class_labels", "labels": list(task.labels)}, *split,
+                       *({"record": "class_item", "video_id": vid, "class_index": c}
+                         for vid, c in task.items)])
 
 
 def load_classification_task(path) -> ClassificationTask:
@@ -382,7 +371,7 @@ def load_scored_pairs(path) -> list[tuple[str, str, str]]:
 
 def write_confusion_csv(path, report: ZeroShotReport, labels) -> None:
     names = [labels[g] for g in report.class_indices]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("true\\pred," + ",".join(names) + "\n")
-        for name, row in zip(names, report.confusion):
-            fh.write(name + "," + ",".join(str(int(x)) for x in row) + "\n")
+    lines = ["true\\pred," + ",".join(names)]
+    lines += [name + "," + ",".join(str(int(x)) for x in row)
+              for name, row in zip(names, report.confusion)]
+    write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import calibrate_filter, compute_ratio, count_concepts
+from .calibration import VARIANT_FROM_LOSS, calibrate_filter, compute_ratio, count_concepts
 from .corpus import (DatasetManifest, GeneratedCaption, SynthSpec, VerbPhrase,
                      make_synthetic_corpus, synth_verb_phrase)
 from .encoders import DualEncoders, EncoderConfig
@@ -116,9 +116,7 @@ def run_ratio_law(seed: int = 0, epochs: int = 200, batch_size: int = 8) -> Rati
     stats = count_concepts(manifest, kept_only=True)
     per_variant: dict[str, dict[str, dict]] = {}
     max_err: dict[str, float] = {}
-    for variant in ("baseline", "hn", "calibrated_hn"):
-        loss_variant = {"baseline": "none", "hn": "hn_uncalibrated",
-                        "calibrated_hn": "calibrated_hn"}[variant]
+    for loss_variant, variant in VARIANT_FROM_LOSS.items():
         cfg = TrainConfig(batch_size=batch_size, seed=seed, n_hard_max=5,
                           loss=LossConfig(negative_variant=loss_variant))
         counter = simulate_usage(manifest, cfg, epochs=epochs, variant=variant)

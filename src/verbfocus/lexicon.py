@@ -101,10 +101,12 @@ IRREGULAR: dict[str, dict[str, str]] = {
 }
 
 # Surfaces registered directly, without registering the base's other forms.
-# Keeps e.g. "fishing" recognizable while "fish" stays a noun in class labels.
+# Keeps e.g. "fishing" and "parking" recognizable while "fish" and "park" stay nouns.
 # "dying" is the common variant spelling of dyeing (so "dying hair" tags).
 EXTRA_SURFACES: dict[str, tuple[str, str]] = {
     "fishing": ("fish", "gerund"),
+    "parking": ("park", "gerund"),
+    "parked": ("park", "past"),
     "dying": ("dye", "gerund"),
 }
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import VARIANT_FROM_LOSS
-from .corpus import CaptionRecord, DatasetManifest
+from .corpus import CaptionRecord, DatasetManifest, write_atomic
 from .encoders import DualEncoders, EncoderConfig, EncoderError, EncoderGrads
 from .losses import BatchTensors, LossConfig, combined_vfc
 
@@ -126,20 +126,12 @@ def _train_caption_indices(manifest: DatasetManifest) -> list[int]:
             if split_of[cap.video_id] == "train"]
 
 
-def _negative_pools(manifest: DatasetManifest) -> dict[tuple[str, str], list[int]]:
-    pools: dict[tuple[str, str], list[int]] = {}
-    for idx, gen in enumerate(manifest.generations):
-        if gen.kind == "hard_negative" and gen.kept:
-            pools.setdefault((gen.parent_video_id, gen.parent_caption), []).append(idx)
-    return pools
-
-
 def sample_epoch(manifest: DatasetManifest, cfg: TrainConfig, epoch: int) -> EpochPlan:
     """Draw every batch of one epoch. Short final batches below 2 are dropped."""
     items = _train_caption_indices(manifest)
     if not items:
         raise TrainerError("train split is empty")
-    pools = _negative_pools(manifest)
+    pools = manifest.negative_pools()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch]))
     order = rng.permutation(len(items))
     bs = min(cfg.batch_size, len(items))
@@ -286,10 +278,8 @@ def save_train_checkpoint(path, state: TrainState, cfg: TrainConfig) -> None:
         "epoch": state.epoch,
         "step": state.step,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
-        fh.write(b"\n")
-        state.encoders.save_to(fh)
+    write_atomic(path, json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n"
+                 + state.encoders.to_bytes())
 
 
 def load_train_checkpoint(path) -> tuple[TrainState, TrainConfig]:
@@ -324,6 +314,8 @@ def train_loop(manifest: DatasetManifest, cfg: TrainConfig,
         state = TrainState(encoders=DualEncoders.from_manifest(manifest, cfg.encoder))
     metrics: list[dict] = []
     grads = EncoderGrads.zeros_for(state.encoders)
+    # The one artifact written in place: a resumed run appends one row per
+    # epoch to the log it resumes, so the log is streamed, not replaced.
     mode = "a" if state.epoch > 0 else "w"
     log_fh = open(log_path, mode, encoding="utf-8") if log_path else None
     try:

@@ -308,6 +308,7 @@ def test_warm_cache_generation_makes_zero_network_calls(tmp_path, capsys):
     cold = run(tmp_path / "cold")
     warm = run(tmp_path / "warm")
     capsys.readouterr()
+    assert cold["generated"] == warm["generated"] == {"hard_negative": 3}
     assert cold["cache"] == {"hits": 0, "misses": 2}
     assert warm["cache"] == {"hits": 2, "misses": 0}
     assert warm["network_calls"] == 0

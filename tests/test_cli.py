@@ -252,6 +252,7 @@ def test_gen_transcript_cache_round(tmp_path, capsys):
     report_b = json.loads((out_b / "gen_report.json").read_text())
     assert report_b["cache"] == {"hits": 2, "misses": 0}
     assert report_b["network_calls"] == 0
+    assert report_a["generated"] == report_b["generated"] == {"hard_negative": 3}
     assert (out_a / "manifest_generated.jsonl").read_bytes() == \
         (out_b / "manifest_generated.jsonl").read_bytes()
     capsys.readouterr()

@@ -125,6 +125,21 @@ def test_set_kept_flags():
     assert m.generations[0].kept is True  # original unchanged
 
 
+def test_negative_pools_hold_kept_hard_negatives_in_generation_order():
+    m = small_manifest()
+    parent = ("v1", "a cat sleeping on a mat")
+    extra = [
+        GeneratedCaption(*parent, "a cat running on a mat", "hard_negative", "random_verb"),
+        GeneratedCaption(*parent, "a cat hiding on a mat", "hard_negative", "random_verb",
+                         kept=False),
+        GeneratedCaption("v2", "a dog runs in a park", "a dog sits in a park",
+                         "hard_negative", "random_verb"),
+    ]
+    m = DatasetManifest(m.videos, m.captions, m.generations + extra)
+    # The paraphrase (1) and the discarded negative (3) are not in any pool.
+    assert m.negative_pools() == {parent: [0, 2], ("v2", "a dog runs in a park"): [4]}
+
+
 def test_synthetic_corpus_structure():
     spec = SynthSpec(n_contexts=3, verbs_per_context=2, captions_per_cell=4)
     m = make_synthetic_corpus(spec)

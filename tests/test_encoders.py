@@ -193,9 +193,7 @@ def test_checkpoint_with_wrong_payload_size_names_the_file(tmp_path, cut):
 
 def test_checkpoint_rejects_foreign_headers():
     enc = small_encoders()
-    buf = io.BytesIO()
-    enc.save_to(buf)
-    raw = buf.getvalue()
+    raw = enc.to_bytes()
     header, rest = raw.split(b"\n", 1)
     bad_format = json.loads(header)
     bad_format["format"] = "something-else"

@@ -4,6 +4,7 @@ import pytest
 
 from verbfocus.lexicon import (LexiconResources, VerbRecognizer, inflect,
                                load_antonym_map, load_verb_corpus)
+from verbfocus.text import tokenize
 
 
 def test_inflect_regular_forms():
@@ -58,10 +59,13 @@ def test_swap_options_equal_the_per_core_definition():
 
 def test_default_resources_cover_common_verbs():
     rec = LexiconResources.default().recognizer
-    for surface in ("eating", "drives", "swam", "braiding", "dying", "fishing"):
+    for surface in ("eating", "drives", "swam", "braiding", "dying", "fishing",
+                    "parking", "parked"):
         assert rec.is_verb(surface), surface
     assert not rec.is_verb("sandwich")
     assert not rec.is_verb("hair")
+    # Noun homographs stay nouns: "in the park" carries no verb.
+    assert rec.verb_tokens(tokenize("a person eating in the park")) == ["eating"]
 
 
 def test_resources_from_manifest():
