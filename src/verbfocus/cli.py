@@ -38,7 +38,7 @@ from .calibration import calibrate_filter
 from .clients import (ClientError, CompletionClientConfig, GenerationClient,
                       HttpTransport, ReplayTransport)
 from .corpus import load_manifest, read_jsonl, save_manifest, write_atomic
-from .encoders import EncoderConfig
+from .encoders import EncoderConfig, manifest_vocab
 from .evaluation import (build_verb_split, eval_multiple_choice, eval_pair_ap,
                          eval_retrieval, eval_zero_shot,
                          load_classification_task, load_mc_items,
@@ -49,7 +49,7 @@ from .experiments import (EXPERIMENT_NAMES, run_attraction_point,
 from .lexicon import LexiconResources
 from .losses import LossConfig
 from .textgen import GenBackendConfig, TextGenError, generate_for_manifest
-from .trainer import (TrainConfig, TrainerError, desk_config,
+from .trainer import (TrainConfig, TrainerError, TrainState, desk_config,
                       load_train_checkpoint, train_loop)
 
 
@@ -88,7 +88,7 @@ DEFAULTS = {
     # at the top level.
     "loss": asdict(_PRESET.loss),
     "encoder": {**_fields(_PRESET.encoder, "seed"), "init_scale": None},
-    "train": {"input": None, **_fields(_PRESET, "seed", "loss", "encoder")},
+    "train": {"input": None, "resume": None, **_fields(_PRESET, "seed", "loss", "encoder")},
     "eval": {
         "checkpoint": None,
         "mc_items": None,
@@ -164,6 +164,8 @@ def apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
         cfg["encoder"]["freeze_video"] = True
     if args.freeze_text:
         cfg["encoder"]["freeze_text"] = True
+    if getattr(args, "resume", None) is not None:
+        cfg["train"]["resume"] = args.resume
     return cfg
 
 
@@ -173,6 +175,7 @@ def make_train_config(cfg: dict) -> TrainConfig:
         encoder = EncoderConfig(seed=cfg["seed"], **cfg["encoder"])
         t = dict(cfg["train"])
         t.pop("input", None)
+        t.pop("resume", None)
         return TrainConfig(seed=cfg["seed"], loss=loss, encoder=encoder, **t)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
@@ -308,6 +311,29 @@ def _resolve_train_input(cfg: dict, out: Path):
     return _require_manifest(cfg)
 
 
+def _resume_state(path, manifest, tcfg: TrainConfig) -> TrainState | None:
+    """The state saved in a training checkpoint, checked against this run:
+    the same vocabulary and video ids as the manifest, and the same train
+    config apart from epochs and checkpoint_every."""
+    if not path:
+        return None
+    if not Path(path).exists():
+        raise ConfigError(f"checkpoint not found: {path}")
+    state, saved = load_train_checkpoint(path)
+    name = Path(path).name
+    if state.encoders.vocab != manifest_vocab(manifest):
+        raise ConfigError(f"{name}: vocabulary does not match the training manifest")
+    if state.encoders.video_ids != [v.video_id for v in manifest.videos]:
+        raise ConfigError(f"{name}: video ids do not match the training manifest")
+    ours, theirs = asdict(tcfg), asdict(saved)
+    differ = [k for k in ours if k not in ("epochs", "checkpoint_every") and ours[k] != theirs[k]]
+    if differ:
+        raise ConfigError(f"{name}: saved with a different train config ({', '.join(differ)})")
+    if state.epoch > tcfg.epochs:
+        raise ConfigError(f"{name}: saved at epoch {state.epoch}, past train.epochs {tcfg.epochs}")
+    return state
+
+
 def cmd_train(cfg: dict) -> int:
     out = _out_dir(cfg)
     _write_json(out / "config.json", cfg)
@@ -318,10 +344,11 @@ def cmd_train(cfg: dict) -> int:
             raise ConfigError(
                 "no kept hard negatives in the training manifest; "
                 "run the gen and calibrate commands first")
+    state = _resume_state(cfg["train"]["resume"], manifest, tcfg)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
     state, metrics = train_loop(
-        manifest, tcfg, log_path=out / "metrics.jsonl", checkpoint_dir=str(ckpt_dir))
+        manifest, tcfg, state=state, log_path=out / "metrics.jsonl", checkpoint_dir=str(ckpt_dir))
     final = metrics[-1] if metrics else {}
     print(f"trained {state.epoch} epoch(s), {state.step} step(s)")
     if final:
@@ -488,7 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("gen", parents=[common], help="generate captions and phrases")
     sub.add_parser("calibrate", parents=[common], help="filter generated negatives")
-    sub.add_parser("train", parents=[common], help="train the dual encoders")
+    ptrain = sub.add_parser("train", parents=[common], help="train the dual encoders")
+    ptrain.add_argument("--resume", metavar="CHECKPOINT",
+                        help="continue from a training checkpoint of this run")
     sub.add_parser("eval", parents=[common], help="evaluate a checkpoint")
     sub.add_parser("report", parents=[common], help="merge run artifacts")
     pexp = sub.add_parser("experiment", parents=[common],

@@ -9,11 +9,22 @@ and gradients checked against finite differences at tight tolerance.
 Unknown tokens share one dedicated vector (the last table row). Gradients
 flow through the normalization via (I - uu^T)/||x|| applied to the upstream
 gradient; frozen towers contribute exactly zero.
+
+The text tower has one forward kernel and one backward kernel, both over
+strings already tokenized into token-table rows (TokenIds, CSR form). The
+forward gathers token rows, sums each string's rows first to last, divides
+by its length and normalizes each row. The backward applies the
+normalization backward to all rows at once, then adds every token's share
+into the gradient table with one scatter-add in input order. Every
+per-string method (encode_text, backward_text, ...) is a batch of one
+through the same kernels, so an embedding does not depend on the batch it
+was computed in, and equal-seed runs stay byte-identical.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -65,6 +76,89 @@ class EncoderGrads:
         self.token[:] = 0.0
 
 
+@dataclass
+class TokenIds:
+    """Token-table rows of n strings in CSR form: string i is
+    ids[indptr[i]:indptr[i + 1]], never empty."""
+
+    indptr: np.ndarray
+    ids: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows) -> "TokenIds":
+        indptr = np.array([0, *itertools.accumulate(map(len, rows))], dtype=np.int64)
+        ids = np.array(list(itertools.chain.from_iterable(rows)), dtype=np.int64)
+        return cls(indptr, ids)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def take(self, strings) -> "TokenIds":
+        """The given strings, in that order."""
+        strings = np.asarray(strings, dtype=np.int64)
+        starts = self.indptr[strings]
+        lengths = self.indptr[strings + 1] - starts
+        indptr = np.zeros(len(strings) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        at = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return TokenIds(indptr, self.ids[at])
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b. As a stack of
+    1 x d by d x 1 products each is one BLAS dot, summed in the order np.dot
+    sums two vectors."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of x scaled to unit length, and their norms."""
+    norms = np.sqrt(row_dots(x, x))
+    if not norms.all():
+        raise EncoderError("zero-norm embedding")
+    return x / norms[:, None], norms
+
+
+def _normalization_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Row-wise gradient through x -> x / ||x||: (g - (u.g) u) / ||x||."""
+    upstream = np.asarray(upstream, dtype=np.float64)
+    u, norms = _unit_rows(x)
+    return (upstream - row_dots(u, upstream)[:, None] * u) / norms[:, None]
+
+
+def _token_means(table: np.ndarray, tokens: TokenIds) -> np.ndarray:
+    """Mean token row of each string, each string's rows added first to last
+    as table[rows].mean(axis=0) adds them (np.add.reduceat would add them in
+    another order). A batch is summed position by position; one string is
+    that mean itself, the same sum with less call overhead."""
+    if len(tokens) == 1:
+        return np.add.reduce(table[tokens.ids], axis=0, keepdims=True) / tokens.ids.size
+    lengths = tokens.lengths()
+    starts = tokens.indptr[:-1]
+    sums = table[tokens.ids[starts]]
+    for p in range(1, int(lengths.max(initial=0))):
+        live = np.flatnonzero(lengths > p)
+        sums[live] += table[tokens.ids[starts[live] + p]]
+    return sums / lengths[:, None]
+
+
+def manifest_vocab(manifest: DatasetManifest) -> list[str]:
+    """Sorted tokens of the captions, generations and verb phrase surfaces."""
+    tokens: set[str] = set()
+    for cap in manifest.captions:
+        tokens.update(tokenize(cap.text))
+        for ph in cap.verb_phrases:
+            tokens.update(ph.surface.split())
+    for gen in manifest.generations:
+        tokens.update(tokenize(gen.text))
+        for ph in gen.verb_phrases:
+            tokens.update(ph.surface.split())
+    return sorted(tokens)
+
+
 class DualEncoders:
     """Paired video/text towers over a fixed id list and vocabulary.
 
@@ -101,26 +195,9 @@ class DualEncoders:
 
     @classmethod
     def from_manifest(cls, manifest: DatasetManifest, config: EncoderConfig) -> "DualEncoders":
-        """Vocabulary spans captions, generations, and verb phrase surfaces."""
-        tokens: set[str] = set()
-        for cap in manifest.captions:
-            tokens.update(tokenize(cap.text))
-            for ph in cap.verb_phrases:
-                tokens.update(ph.surface.split())
-        for gen in manifest.generations:
-            tokens.update(tokenize(gen.text))
-            for ph in gen.verb_phrases:
-                tokens.update(ph.surface.split())
-        video_ids = [v.video_id for v in manifest.videos]
-        return cls(config, video_ids, sorted(tokens))
+        return cls(config, [v.video_id for v in manifest.videos], manifest_vocab(manifest))
 
     # -- forward ---------------------------------------------------------
-
-    def _normalize(self, x: np.ndarray) -> np.ndarray:
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            raise EncoderError("zero-norm embedding")
-        return x / norm
 
     def video_row(self, video_id: str) -> int:
         try:
@@ -134,42 +211,51 @@ class DualEncoders:
             raise EncoderError(f"text has no tokens: {text!r}")
         return [self._token_row.get(t, self.unknown_row) for t in toks]
 
-    def encode_video(self, video_id: str) -> np.ndarray:
-        return self._normalize(self.video_table[self.video_row(video_id)])
+    def text_ids(self, texts) -> TokenIds:
+        """Tokenize each text once into token-table rows."""
+        return TokenIds.from_rows([self.token_rows(t) for t in texts])
+
+    def encode_ids(self, tokens: TokenIds) -> np.ndarray:
+        """(n, d) unit embeddings of the strings in tokens: the forward kernel."""
+        return _unit_rows(_token_means(self.token_table, tokens))[0]
+
+    def encode_video_rows(self, rows) -> np.ndarray:
+        return _unit_rows(self.video_table[rows])[0]
 
     def encode_text(self, text: str) -> np.ndarray:
-        rows = self.token_rows(text)
-        return self._normalize(self.token_table[rows].mean(axis=0))
-
-    def encode_videos(self, video_ids) -> np.ndarray:
-        return np.stack([self.encode_video(v) for v in video_ids])
+        return self.encode_ids(self.text_ids([text]))[0]
 
     def encode_texts(self, texts) -> np.ndarray:
-        return np.stack([self.encode_text(t) for t in texts])
+        return self.encode_ids(self.text_ids(texts))
+
+    def encode_video(self, video_id: str) -> np.ndarray:
+        return self.encode_video_rows([self.video_row(video_id)])[0]
+
+    def encode_videos(self, video_ids) -> np.ndarray:
+        return self.encode_video_rows([self.video_row(v) for v in video_ids])
 
     # -- backward --------------------------------------------------------
 
-    def _normalization_backward(self, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            raise EncoderError("zero-norm embedding")
-        u = x / norm
-        return (upstream - np.dot(u, upstream) * u) / norm
-
-    def backward_video(self, video_id: str, upstream: np.ndarray, grads: EncoderGrads) -> None:
-        if self.config.freeze_video:
-            return
-        row = self.video_row(video_id)
-        grads.video[row] += self._normalization_backward(self.video_table[row], upstream)
-
-    def backward_text(self, text: str, upstream: np.ndarray, grads: EncoderGrads) -> None:
+    def backward_ids(self, tokens: TokenIds, upstream: np.ndarray, grads: EncoderGrads) -> None:
+        """Add the gradient of the (n, d) upstream through encode_ids(tokens)
+        into grads.token: the backward kernel."""
         if self.config.freeze_text:
             return
-        rows = self.token_rows(text)
-        x = self.token_table[rows].mean(axis=0)
-        g = self._normalization_backward(x, upstream) / len(rows)
-        for row in rows:
-            grads.token[row] += g
+        lengths = tokens.lengths()
+        g = _normalization_backward(_token_means(self.token_table, tokens), upstream)
+        np.add.at(grads.token, tokens.ids, np.repeat(g / lengths[:, None], lengths, axis=0))
+
+    def backward_video_rows(self, rows, upstream: np.ndarray, grads: EncoderGrads) -> None:
+        if self.config.freeze_video:
+            return
+        rows = np.asarray(rows, dtype=np.int64)
+        np.add.at(grads.video, rows, _normalization_backward(self.video_table[rows], upstream))
+
+    def backward_text(self, text: str, upstream: np.ndarray, grads: EncoderGrads) -> None:
+        self.backward_ids(self.text_ids([text]), np.asarray(upstream)[None], grads)
+
+    def backward_video(self, video_id: str, upstream: np.ndarray, grads: EncoderGrads) -> None:
+        self.backward_video_rows([self.video_row(video_id)], np.asarray(upstream)[None], grads)
 
     def apply_sgd(self, grads: EncoderGrads, lr: float, weight_decay: float) -> None:
         """theta <- theta - lr * (grad + weight_decay * theta), frozen towers untouched."""

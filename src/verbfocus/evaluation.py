@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import read_jsonl, write_atomic, write_jsonl
-from .encoders import DualEncoders
+from .encoders import DualEncoders, row_dots
 from .lexicon import STOPWORDS, VerbRecognizer
 from .text import tokenize
 
@@ -94,25 +94,31 @@ class MultipleChoiceReport:
         }
 
 
+def _encode_distinct(encoders: DualEncoders, texts) -> tuple[np.ndarray, np.ndarray]:
+    """Embed each distinct text once, in one call; returns the embeddings and
+    each input text's row in them."""
+    index: dict[str, int] = {}
+    rows = np.array([index.setdefault(t, len(index)) for t in texts], dtype=np.int64)
+    return encoders.encode_texts(list(index)), rows
+
+
 def eval_multiple_choice(encoders: DualEncoders, items) -> MultipleChoiceReport:
     """Pick the option most similar to the video; report what got picked."""
     items = list(items)
-    correct = 0
     picked = {kind: 0 for kind in OPTION_KINDS}
+    if not items:
+        return MultipleChoiceReport(accuracy=0.0, n_items=0, picked_kinds=picked)
     # Items share option texts; embed each distinct text once.
-    vecs: dict[str, np.ndarray] = {}
-    for item in items:
-        v = encoders.encode_video(item.video_id)
-        for text in item.options:
-            if text not in vecs:
-                vecs[text] = encoders.encode_text(text)
-        sims = np.stack([vecs[text] for text in item.options]) @ v
-        choice = int(np.argmax(sims))
+    vecs, rows = _encode_distinct(encoders, [t for item in items for t in item.options])
+    videos = encoders.encode_videos([item.video_id for item in items])
+    sims = np.matmul(vecs[rows.reshape(len(items), -1)], videos[:, :, None])[..., 0]
+    choices = np.argmax(sims, axis=1)
+    correct = 0
+    for item, choice in zip(items, choices.tolist()):
         picked[item.option_kinds[choice]] += 1
-        if choice == item.answer_index:
-            correct += 1
-    acc = correct / len(items) if items else 0.0
-    return MultipleChoiceReport(accuracy=acc, n_items=len(items), picked_kinds=picked)
+        correct += choice == item.answer_index
+    return MultipleChoiceReport(accuracy=correct / len(items), n_items=len(items),
+                                picked_kinds=picked)
 
 
 def _ranks(sims: np.ndarray) -> np.ndarray:
@@ -198,8 +204,9 @@ def eval_zero_shot(encoders: DualEncoders, task: ClassificationTask,
     confusion = np.zeros((C, C), dtype=np.int64)
     top1_hits = 0
     top5_hits = 0
-    for vid, y in items:
-        sims = label_vecs @ encoders.encode_video(vid)
+    videos = encoders.encode_videos([vid for vid, _ in items])
+    for (_, y), video in zip(items, videos):
+        sims = label_vecs @ video
         pred = int(np.argmax(sims))
         confusion[y, pred] += 1
         if pred == y:
@@ -269,10 +276,8 @@ def eval_pair_ap(encoders: DualEncoders, pairs) -> float:
     pairs = list(pairs)
     if not pairs:
         raise EvalError("no pairs")
-    scores = np.array([
-        float(np.dot(encoders.encode_video(vid), encoders.encode_text(text)))
-        for vid, text, _ in pairs
-    ])
+    texts, rows = _encode_distinct(encoders, [text for _, text, _ in pairs])
+    scores = row_dots(encoders.encode_videos([vid for vid, _, _ in pairs]), texts[rows])
     labels = np.array([1 if lab == "pos" else 0 for _, _, lab in pairs])
     if set(np.unique(labels)) - {0, 1}:
         raise EvalError("labels must be pos or neg")

@@ -101,12 +101,28 @@ IRREGULAR: dict[str, dict[str, str]] = {
 }
 
 # Surfaces registered directly, without registering the base's other forms.
-# Keeps e.g. "fishing" and "parking" recognizable while "fish" and "park" stay nouns.
-# "dying" is the common variant spelling of dyeing (so "dying hair" tags).
+# Keeps e.g. "fishing" and "parking" recognizable while "fish" and "park" stay
+# nouns; the same holds for place, point, watch, box, plant and bike. Their
+# plurals stay nouns too, apart from "points", whose "points at" reading is
+# the one captions use. "dying" is the common variant spelling of dyeing (so
+# "dying hair" tags).
 EXTRA_SURFACES: dict[str, tuple[str, str]] = {
     "fishing": ("fish", "gerund"),
     "parking": ("park", "gerund"),
     "parked": ("park", "past"),
+    "placing": ("place", "gerund"),
+    "placed": ("place", "past"),
+    "points": ("point", "third"),
+    "pointing": ("point", "gerund"),
+    "pointed": ("point", "past"),
+    "watching": ("watch", "gerund"),
+    "watched": ("watch", "past"),
+    "boxing": ("box", "gerund"),
+    "boxed": ("box", "past"),
+    "planting": ("plant", "gerund"),
+    "planted": ("plant", "past"),
+    "biking": ("bike", "gerund"),
+    "biked": ("bike", "past"),
     "dying": ("dye", "gerund"),
 }
 

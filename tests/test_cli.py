@@ -317,3 +317,62 @@ def test_eval_on_a_malformed_task_file_names_its_line(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err.startswith("error: mc_bad.jsonl:1: missing field")
+
+
+def _metrics_without_wall(path):
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+
+
+def test_train_resume_matches_a_straight_run(tmp_path, capsys):
+    manifest_path = tmp_path / "manifest.jsonl"
+    write_corpus(manifest_path)
+    prep = tmp_path / "prep"
+    cfg_path = write_config(tmp_path / "cfg.json", manifest_path, prep,
+                            gen={"backend": "random_verb", "candidates_per_caption": 3,
+                                 "lexicon": "manifest"},
+                            train={"input": str(prep / "manifest_calibrated.jsonl")})
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    assert main(["calibrate", "--config", str(cfg_path)]) == 0
+    straight, stopped = tmp_path / "straight", tmp_path / "stopped"
+    train = ["train", "--config", str(cfg_path)]
+    assert main(train + ["--out", str(straight), "--epochs", "4"]) == 0
+    assert main(train + ["--out", str(stopped), "--epochs", "2"]) == 0
+    ckpt = stopped / "checkpoints" / "checkpoint_final.bin"
+    assert main(train + ["--out", str(stopped), "--epochs", "4", "--resume", str(ckpt)]) == 0
+    final = "checkpoints/checkpoint_final.bin"
+    assert (stopped / final).read_bytes() == (straight / final).read_bytes()
+    assert (_metrics_without_wall(stopped / "metrics.jsonl")
+            == _metrics_without_wall(straight / "metrics.jsonl"))
+    assert [r["epoch"] for r in _metrics_without_wall(stopped / "metrics.jsonl")] == [0, 1, 2, 3]
+    capsys.readouterr()
+
+    assert main(train + ["--out", str(stopped), "--seed", "3", "--resume", str(ckpt)]) == 1
+    assert "checkpoint_final.bin: saved with a different train config" in capsys.readouterr().err
+
+
+def test_train_resume_rejects_a_checkpoint_of_another_manifest(tmp_path, capsys):
+    manifest_path = tmp_path / "manifest.jsonl"
+    manifest = write_corpus(manifest_path)
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "cfg.json", manifest_path, out)
+    assert main(["train", "--config", str(cfg_path), "--loss-variant", "none"]) == 0
+    ckpt = tmp_path / "other.bin"
+    ckpt.write_bytes((out / "checkpoints" / "checkpoint_final.bin").read_bytes())
+
+    more_videos = tmp_path / "more_videos.jsonl"
+    save_manifest(DatasetManifest([*manifest.videos, VideoRecord("v7", "val")],
+                                  manifest.captions, []), more_videos)
+    other_words = tmp_path / "other_words.jsonl"
+    save_manifest(DatasetManifest(manifest.videos, [
+        *manifest.captions, CaptionRecord("v6", "a person singing", (VerbPhrase("singing"),))],
+        []), other_words)
+    for path, error in ((more_videos, "video ids do not match"),
+                        (other_words, "vocabulary does not match")):
+        capsys.readouterr()
+        other_cfg = write_config(tmp_path / "other.json", path, out)
+        assert main(["train", "--config", str(other_cfg), "--loss-variant", "none",
+                     "--resume", str(ckpt)]) == 1
+        assert f"other.bin: {error} the training manifest" in capsys.readouterr().err
+    assert main(["train", "--config", str(cfg_path), "--loss-variant", "none",
+                 "--resume", str(tmp_path / "missing.bin")]) == 1

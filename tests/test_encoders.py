@@ -7,6 +7,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verbfocus.corpus import CaptionRecord, DatasetManifest, GeneratedCaption, VerbPhrase, VideoRecord
 from verbfocus.encoders import DualEncoders, EncoderConfig, EncoderError, EncoderGrads
@@ -203,3 +205,69 @@ def test_checkpoint_rejects_foreign_headers():
     bad_version["version"] = 99
     with pytest.raises(EncoderError):
         DualEncoders.load_from(io.BytesIO(json.dumps(bad_version).encode() + b"\n" + rest))
+
+
+# -- batched text kernels ---------------------------------------------------
+
+KERNEL_VOCAB = ["cat", "dog", "runs", "sleeps", "a", "the"]
+# "zebra" and "quagga" are out of vocabulary: both read the shared last row.
+kernel_strings = st.lists(st.sampled_from(KERNEL_VOCAB + ["zebra", "quagga"]),
+                          min_size=1, max_size=7).map(" ".join)
+
+
+def _longdouble_embedding(enc, text):
+    x = enc.token_table[enc.token_rows(text)].astype(np.longdouble).mean(axis=0)
+    return x / np.sqrt((x * x).sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(texts=st.lists(kernel_strings, min_size=1, max_size=10), data=st.data())
+def test_batched_text_kernels_match_per_string_calls(texts, data):
+    """Any subset and order of strings, with repeated and unknown tokens: a
+    batch row is its string's encode_text bit for bit, within 1e-15 of a
+    long-double mean; the batched backward is the per-string backwards."""
+    seed = data.draw(st.integers(0, 2 ** 16))
+    enc = DualEncoders(EncoderConfig(dim=5, seed=seed), ["v1"], KERNEL_VOCAB)
+    tokens = enc.text_ids(texts)
+    emb = enc.encode_ids(tokens)
+    for i, text in enumerate(texts):
+        assert np.array_equal(emb[i], enc.encode_text(text))
+        assert np.max(np.abs(emb[i] - _longdouble_embedding(enc, text))) <= 1e-15
+    picks = data.draw(st.lists(st.integers(0, len(texts) - 1), min_size=1, max_size=12))
+    assert np.array_equal(enc.encode_ids(tokens.take(picks)), emb[picks])
+
+    upstream = np.random.default_rng(seed).normal(size=emb.shape)
+    batched = EncoderGrads.zeros_for(enc)
+    enc.backward_ids(tokens, upstream, batched)
+    single = EncoderGrads.zeros_for(enc)
+    for text, up in zip(texts, upstream):
+        enc.backward_text(text, up, single)
+    # One scatter-add in input order adds the same terms in the same order
+    # as the per-string calls do.
+    assert np.array_equal(batched.token, single.token)
+
+    # Central differences of sum(upstream * encode_ids(tokens)).
+    h = 1e-6
+    table = enc.token_table
+    for row, col in np.ndindex(*table.shape):
+        keep = table[row, col]
+        table[row, col] = keep + h
+        up = float((upstream * enc.encode_ids(tokens)).sum())
+        table[row, col] = keep - h
+        dn = float((upstream * enc.encode_ids(tokens)).sum())
+        table[row, col] = keep
+        g = batched.token[row, col]
+        assert abs((up - dn) / (2 * h) - g) <= 1e-6 * max(1.0, abs(g))
+
+
+def test_batched_video_backward_adds_repeated_rows():
+    enc = small_encoders(seed=3)
+    up = np.random.default_rng(1).normal(size=(3, 4))
+    batched = EncoderGrads.zeros_for(enc)
+    enc.backward_video_rows([1, 0, 1], up, batched)
+    single = EncoderGrads.zeros_for(enc)
+    for vid, u in zip(["v2", "v1", "v2"], up):
+        enc.backward_video(vid, u, single)
+    assert np.array_equal(batched.video, single.video)
+    np.testing.assert_array_equal(enc.encode_video_rows([1, 0, 1]),
+                                  enc.encode_videos(["v2", "v1", "v2"]))

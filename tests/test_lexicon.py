@@ -91,3 +91,14 @@ def test_loaders_reject_garbage(tmp_path):
     a.write_text("open close\n")
     with pytest.raises(ValueError, match="two tab-separated"):
         load_antonym_map(a)
+
+
+def test_noun_homographs_stay_nouns_and_their_verb_forms_still_tag():
+    rec = LexiconResources.default().recognizer
+    sentence = "a person at the place near a point with a watch and a box by a plant on a bike"
+    assert rec.verb_tokens(tokenize(sentence)) == []
+    assert rec.verb_tokens(tokenize("a man watching tv")) == ["watching"]
+    assert rec.verb_tokens(tokenize("a boy boxing")) == ["boxing"]
+    assert rec.verb_tokens(tokenize("he points at the sky")) == ["points"]
+    for surface in ("placing", "placed", "pointed", "watched", "planting", "biking", "biked"):
+        assert rec.is_verb(surface), surface

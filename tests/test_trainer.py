@@ -1,19 +1,22 @@
 """Batch sampling, SGD stepping, usage accounting, resume semantics."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from verbfocus.corpus import CaptionRecord, DatasetManifest, VerbPhrase, VideoRecord
-from verbfocus.encoders import DualEncoders, EncoderConfig, EncoderError
-from verbfocus.losses import LossConfig
+from verbfocus import encoders as encoders_module
+from verbfocus.encoders import DualEncoders, EncoderConfig, EncoderError, EncoderGrads
+from verbfocus.losses import LossConfig, combined_vfc
 from verbfocus.trainer import (
+    BatchIndexRecord,
     TrainConfig,
     TrainState,
     TrainerError,
     UsageCounter,
+    compile_manifest,
     desk_config,
     load_train_checkpoint,
     materialize_batch,
@@ -144,6 +147,15 @@ def test_materialize_batch_shapes_and_mask():
             batch.caption[i], enc.encode_text(manifest.captions[ci].text))
 
 
+def test_materialize_batch_rejects_a_generation_the_sampler_cannot_draw():
+    manifest = crossed_manifest(n_contexts=2, verbs=2, cell=1)
+    manifest.generations[0] = replace(manifest.generations[0], kept=False)
+    enc = DualEncoders.from_manifest(manifest, EncoderConfig(dim=6))
+    record = BatchIndexRecord(0, 0, [0, 1], [[0], []], [0, 0])
+    with pytest.raises(TrainerError, match="not a kept hard negative"):
+        materialize_batch(manifest, enc, record)
+
+
 def test_train_step_descends_on_tiny_manifest():
     manifest = crossed_manifest(n_contexts=3, verbs=2, cell=1, copies=1)
     cfg = tiny_cfg(batch_size=6, epochs=30, seed=1)
@@ -159,18 +171,72 @@ def test_no_negative_variant_skips_the_hard_negatives(monkeypatch):
     and 12 verb phrases go back through the text tower, not the 12
     generations as well. Sampling still draws them, so the RNG stream holds."""
     manifest = crossed_manifest(n_contexts=3, verbs=2, cell=2)
-    cfg = tiny_cfg(batch_size=4, epochs=1, loss=LossConfig(sigma=0.05, negative_variant="none"))
-    assert any(sample_epoch(manifest, cfg, 0).records[0].hard_indices)
+    rows = []
+    backward_ids = DualEncoders.backward_ids
+
+    def counted(self, tokens, upstream, grads):
+        rows.append(len(tokens))
+        return backward_ids(self, tokens, upstream, grads)
+
+    monkeypatch.setattr(DualEncoders, "backward_ids", counted)
+    for variant, expected in (("none", 24), ("hn_uncalibrated", 36)):
+        cfg = tiny_cfg(batch_size=4, epochs=1,
+                       loss=LossConfig(sigma=0.05, negative_variant=variant))
+        assert any(sample_epoch(manifest, cfg, 0).records[0].hard_indices)
+        rows.clear()
+        train_loop(manifest, cfg)
+        assert len(rows) == 3
+        assert sum(rows) == expected
+
+
+def test_training_tokenizes_each_compiled_string_once(monkeypatch):
+    """Steps read the compiled token ids, so tokenize runs at most once per
+    compiled string and the count does not grow with the epochs."""
+    manifest = crossed_manifest(n_contexts=3, verbs=2, cell=2)
+    cfg = tiny_cfg(batch_size=4, epochs=1)
+    encoders = [DualEncoders.from_manifest(manifest, cfg.encoder) for _ in range(2)]
+    n_strings = len(compile_manifest(manifest, encoders[0]).text)
     calls = []
-    backward_text = DualEncoders.backward_text
+    tokenize = encoders_module.tokenize
+    monkeypatch.setattr(encoders_module, "tokenize",
+                        lambda raw: calls.append(raw) or tokenize(raw))
+    counts = []
+    for enc, epochs in zip(encoders, (1, 3)):
+        calls.clear()
+        train_loop(manifest, tiny_cfg(batch_size=4, epochs=epochs), state=TrainState(enc))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert 0 < counts[0] <= n_strings
 
-    def counted(self, *args):
-        calls.append(args[0])
-        return backward_text(self, *args)
 
-    monkeypatch.setattr(DualEncoders, "backward_text", counted)
-    train_loop(manifest, cfg)
-    assert len(calls) == 24
+@pytest.mark.parametrize("variant", ["none", "hn_uncalibrated", "calibrated_hn"])
+def test_train_step_gradients_match_finite_differences(variant):
+    """The batched backward sends each loss gradient to its own string: the
+    token and video gradients of a step match central differences of the
+    step's loss over every table entry."""
+    manifest = crossed_manifest(n_contexts=2, verbs=2, cell=1, copies=2)
+    cfg = tiny_cfg(batch_size=4, n_hard_max=2, encoder=EncoderConfig(dim=3, seed=5),
+                   loss=LossConfig(sigma=0.5, negative_variant=variant))
+    record = sample_epoch(manifest, cfg, 0).records[0]
+    compiled = compile_manifest(manifest, DualEncoders.from_manifest(manifest, cfg.encoder))
+    enc = DualEncoders.from_manifest(manifest, cfg.encoder)
+    grads = EncoderGrads.zeros_for(enc)
+    train_step(compiled, TrainState(DualEncoders.from_manifest(manifest, cfg.encoder)),
+               cfg, record, grads)
+
+    def loss():
+        return combined_vfc(materialize_batch(compiled, enc, record), cfg.loss).total
+
+    h = 1e-6
+    for table, grad in ((enc.token_table, grads.token), (enc.video_table, grads.video)):
+        for idx in np.ndindex(*table.shape):
+            keep = table[idx]
+            table[idx] = keep + h
+            up = loss()
+            table[idx] = keep - h
+            dn = loss()
+            table[idx] = keep
+            assert abs((up - dn) / (2 * h) - grad[idx]) <= 1e-6 * max(1.0, abs(grad[idx]))
 
 
 def test_train_loop_writes_metrics_log(tmp_path):
@@ -278,7 +344,6 @@ def test_usage_counter_accounting():
         CaptionRecord("v2", "cap two", (VerbPhrase("beta"),)),
     ]
     manifest = DatasetManifest(videos, captions, [])
-    from verbfocus.trainer import BatchIndexRecord
 
     record = BatchIndexRecord(0, 0, [0, 1, 2], [[], [], []], [0, 0, 0])
     for variant, expected_alpha in (("baseline", 4 / 2), ("hn", 4 / 2), ("calibrated_hn", 4 / 2)):
