@@ -12,7 +12,7 @@ import json
 import os
 import threading
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -136,13 +136,16 @@ def _phrases_to_json(phrases: tuple[VerbPhrase, ...]) -> list[str]:
     return [p.surface for p in phrases]
 
 
-def _phrases_from_json(raw) -> tuple[VerbPhrase, ...]:
+def _phrases_from_json(raw, known: dict[str, VerbPhrase]) -> tuple[VerbPhrase, ...]:
+    """The phrases of one record; known holds the surfaces already validated."""
     if not isinstance(raw, list) or not all(isinstance(p, str) for p in raw):
         raise CorpusError("verb_phrases must be a list of strings")
-    return tuple(VerbPhrase(p) for p in raw)
+    return tuple(known.get(p) or known.setdefault(p, VerbPhrase(p)) for p in raw)
 
 
 def _require(obj: dict, keys: tuple[str, ...]) -> None:
+    if len(obj) == len(keys) + 1 and "record" in obj and all(map(obj.__contains__, keys)):
+        return
     missing = [k for k in keys if k not in obj]
     if missing:
         raise CorpusError(f"missing fields {missing}")
@@ -204,7 +207,8 @@ def write_atomic(path: str | Path, data: bytes) -> None:
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """Write each record as one JSON line, atomically; read_jsonl reads it back."""
-    body = "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in records)
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    body = "".join(encode(obj) + "\n" for obj in records)
     write_atomic(path, body.encode("utf-8"))
 
 
@@ -261,6 +265,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     if not path.exists():
         raise CorpusError(f"manifest not found: {path}")
     manifest = DatasetManifest()
+    phrases: dict[str, VerbPhrase] = {}
     split_of: dict[str, str] = {}
     caption_splits: dict[str, str] = {}
     headers: list[dict] = []
@@ -280,7 +285,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         _require(obj, ("video_id", "text", "split", "verb_phrases"))
         _require_tokens(obj["text"], "caption text")
         manifest.captions.append(CaptionRecord(
-            obj["video_id"], obj["text"], _phrases_from_json(obj["verb_phrases"])))
+            obj["video_id"], obj["text"], _phrases_from_json(obj["verb_phrases"], phrases)))
         caption_splits[obj["video_id"]] = obj["split"]
 
     def generation(obj):
@@ -290,7 +295,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         hash((obj["parent_video_id"], obj["parent_caption"]))
         manifest.generations.append(GeneratedCaption(
             obj["parent_video_id"], obj["parent_caption"], obj["text"], obj["kind"],
-            obj["backend"], _phrases_from_json(obj["verb_phrases"]), bool(obj["kept"])))
+            obj["backend"], _phrases_from_json(obj["verb_phrases"], phrases), bool(obj["kept"])))
 
     read_jsonl(path, {"header": header, "video": video, "caption": caption,
                       "generation": generation}, CorpusError)
@@ -309,10 +314,14 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 
 def set_kept_flags(manifest: DatasetManifest, kept: dict[int, bool]) -> DatasetManifest:
-    """Return a manifest with generation ``kept`` flags replaced by index."""
-    gens = [
-        replace(g, kept=kept.get(i, g.kept)) for i, g in enumerate(manifest.generations)
-    ]
+    """Return a manifest with generation ``kept`` flags replaced by index.
+    Generations whose flag stays the same are shared with the input."""
+    gens = list(manifest.generations)
+    for i, flag in kept.items():
+        if 0 <= i < len(gens) and gens[i].kept is not flag:
+            g = gens[i]
+            gens[i] = GeneratedCaption(g.parent_video_id, g.parent_caption, g.text, g.kind,
+                                       g.backend, g.verb_phrases, flag)
     return DatasetManifest(manifest.videos, manifest.captions, gens, manifest.schema_version)
 
 

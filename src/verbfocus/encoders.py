@@ -5,20 +5,20 @@ bag of learnable token vectors: lowercase, strip punctuation, whitespace
 split, arithmetic mean, then L2-normalize. Both towers are deliberately
 order-invariant and pixel-free so that loss-side effects can be isolated
 and gradients checked against finite differences at tight tolerance.
+Unknown tokens share one dedicated vector (the last table row); frozen
+towers get exactly zero gradient.
 
-Unknown tokens share one dedicated vector (the last table row). Gradients
-flow through the normalization via (I - uu^T)/||x|| applied to the upstream
-gradient; frozen towers contribute exactly zero.
-
-The text tower has one forward kernel and one backward kernel, both over
-strings already tokenized into token-table rows (TokenIds, CSR form). The
-forward gathers token rows, sums each string's rows first to last, divides
-by its length and normalizes each row. The backward applies the
-normalization backward to all rows at once, then adds every token's share
-into the gradient table with one scatter-add in input order. Every
+Each tower has one forward and one backward kernel; text arrives tokenized
+into token-table rows (TokenIds, CSR form). The forward sums each string's
+rows first to last, divides by its length and returns the unit rows with
+their norms, which a backward reuses when it is handed them. The backward
+applies (I - uu^T)/||x|| to the upstream rows; the text tower then adds
+every token's share with one ordered scatter-add (per column, a bincount
+over the touched rows that starts from their current values and adds in
+input order, as np.add.at would), the video tower with np.add.at. Every
 per-string method (encode_text, backward_text, ...) is a batch of one
-through the same kernels, so an embedding does not depend on the batch it
-was computed in, and equal-seed runs stay byte-identical.
+through the same kernels, so an embedding does not depend on its batch,
+and equal-seed runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class TokenIds:
     @classmethod
     def from_rows(cls, rows) -> "TokenIds":
         indptr = np.array([0, *itertools.accumulate(map(len, rows))], dtype=np.int64)
-        ids = np.array(list(itertools.chain.from_iterable(rows)), dtype=np.int64)
+        ids = np.fromiter(itertools.chain.from_iterable(rows), np.int64, int(indptr[-1]))
         return cls(indptr, ids)
 
     def __len__(self) -> int:
@@ -122,11 +122,31 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / norms[:, None], norms
 
 
-def _normalization_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Row-wise gradient through x -> x / ||x||: (g - (u.g) u) / ||x||."""
+def _normalization_backward(forward: tuple[np.ndarray, np.ndarray],
+                            upstream: np.ndarray) -> np.ndarray:
+    """Row-wise gradient through x -> x / ||x|| given the forward's unit
+    rows u and norms: (g - (u.g) u) / ||x||."""
     upstream = np.asarray(upstream, dtype=np.float64)
-    u, norms = _unit_rows(x)
+    u, norms = forward
     return (upstream - row_dots(u, upstream)[:, None] * u) / norms[:, None]
+
+
+def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray,
+                 source: np.ndarray) -> None:
+    """table[rows[k]] += values[source[k]] for k in order, bit for bit as
+    np.add.at adds them. Each column is one bincount over the touched rows
+    only, which adds in input order: a touched entry's current value goes in
+    first, then its shares."""
+    touched, slot = np.unique(rows, return_inverse=True)
+    k = touched.size
+    bins = np.concatenate((np.arange(k), slot))
+    current = table[touched]
+    weights = np.empty(bins.size)
+    for c, column in enumerate(values.T):
+        weights[:k] = current[:, c]
+        weights[k:] = column[source]
+        current[:, c] = np.bincount(bins, weights, minlength=k)
+    table[touched] = current
 
 
 def _token_means(table: np.ndarray, tokens: TokenIds) -> np.ndarray:
@@ -147,15 +167,9 @@ def _token_means(table: np.ndarray, tokens: TokenIds) -> np.ndarray:
 
 def manifest_vocab(manifest: DatasetManifest) -> list[str]:
     """Sorted tokens of the captions, generations and verb phrase surfaces."""
-    tokens: set[str] = set()
-    for cap in manifest.captions:
-        tokens.update(tokenize(cap.text))
-        for ph in cap.verb_phrases:
-            tokens.update(ph.surface.split())
-    for gen in manifest.generations:
-        tokens.update(tokenize(gen.text))
-        for ph in gen.verb_phrases:
-            tokens.update(ph.surface.split())
+    records = (*manifest.captions, *manifest.generations)
+    tokens = {t for text in dict.fromkeys(r.text for r in records) for t in tokenize(text)}
+    tokens.update(t for r in records for ph in r.verb_phrases for t in ph.surface.split())
     return sorted(tokens)
 
 
@@ -212,15 +226,24 @@ class DualEncoders:
         return [self._token_row.get(t, self.unknown_row) for t in toks]
 
     def text_ids(self, texts) -> TokenIds:
-        """Tokenize each text once into token-table rows."""
-        return TokenIds.from_rows([self.token_rows(t) for t in texts])
+        """Tokenize each distinct text once into token-table rows."""
+        texts = list(texts)
+        rows = {t: self.token_rows(t) for t in dict.fromkeys(texts)}
+        return TokenIds.from_rows([rows[t] for t in texts])
+
+    def forward_ids(self, tokens: TokenIds) -> tuple[np.ndarray, np.ndarray]:
+        """(n, d) unit embeddings of the strings in tokens and the norms they
+        were scaled by: the forward kernel."""
+        return _unit_rows(_token_means(self.token_table, tokens))
+
+    def forward_video_rows(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        return _unit_rows(self.video_table[rows])
 
     def encode_ids(self, tokens: TokenIds) -> np.ndarray:
-        """(n, d) unit embeddings of the strings in tokens: the forward kernel."""
-        return _unit_rows(_token_means(self.token_table, tokens))[0]
+        return self.forward_ids(tokens)[0]
 
     def encode_video_rows(self, rows) -> np.ndarray:
-        return _unit_rows(self.video_table[rows])[0]
+        return self.forward_video_rows(rows)[0]
 
     def encode_text(self, text: str) -> np.ndarray:
         return self.encode_ids(self.text_ids([text]))[0]
@@ -236,20 +259,24 @@ class DualEncoders:
 
     # -- backward --------------------------------------------------------
 
-    def backward_ids(self, tokens: TokenIds, upstream: np.ndarray, grads: EncoderGrads) -> None:
+    def backward_ids(self, tokens: TokenIds, upstream: np.ndarray, grads: EncoderGrads,
+                     forward: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         """Add the gradient of the (n, d) upstream through encode_ids(tokens)
-        into grads.token: the backward kernel."""
+        into grads.token: the backward kernel. forward is forward_ids(tokens)
+        if the caller kept it; otherwise it is recomputed."""
         if self.config.freeze_text:
             return
         lengths = tokens.lengths()
-        g = _normalization_backward(_token_means(self.token_table, tokens), upstream)
-        np.add.at(grads.token, tokens.ids, np.repeat(g / lengths[:, None], lengths, axis=0))
+        g = _normalization_backward(forward or self.forward_ids(tokens), upstream)
+        owner = np.repeat(np.arange(lengths.size), lengths)
+        _scatter_add(grads.token, tokens.ids, g / lengths[:, None], owner)
 
-    def backward_video_rows(self, rows, upstream: np.ndarray, grads: EncoderGrads) -> None:
+    def backward_video_rows(self, rows, upstream: np.ndarray, grads: EncoderGrads,
+                            forward: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         if self.config.freeze_video:
             return
-        rows = np.asarray(rows, dtype=np.int64)
-        np.add.at(grads.video, rows, _normalization_backward(self.video_table[rows], upstream))
+        g = _normalization_backward(forward or self.forward_video_rows(rows), upstream)
+        np.add.at(grads.video, rows, g)
 
     def backward_text(self, text: str, upstream: np.ndarray, grads: EncoderGrads) -> None:
         self.backward_ids(self.text_ids([text]), np.asarray(upstream)[None], grads)

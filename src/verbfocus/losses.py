@@ -12,11 +12,13 @@ max-subtracted log-sum-exp. The terms differ only in candidates and mask:
   verb_phrase  member videos over member phrases; off-diagonal ("both" adds
                member phrases over all batch videos; every other video on)
 
-The optional hard-negative weighting reweights negative denominator terms in
-proportion to softmax(beta * sim / sigma), scaled to sum to the negative
-count, with the positive term scaled by alpha; gradients flow through the
-weights. Reductions are means over contributing rows, so values are
-comparable across batch sizes.
+The batch's hard negatives are one stacked (sum n_i, d) array with item
+offsets (StackedRows); the negative terms append it to the caption columns
+as it is and return its gradient in the same layout. The optional
+hard-negative weighting reweights negative denominator terms by
+softmax(beta * sim / sigma), scaled to sum to the negative count, with the
+positive scaled by alpha; gradients flow through the weights. Reductions
+are means over contributing rows, so values compare across batch sizes.
 """
 
 from __future__ import annotations
@@ -59,17 +61,41 @@ class LossConfig:
 
 
 @dataclass
-class BatchTensors:
-    """One training batch of f64 embeddings.
+class StackedRows:
+    """Per-item blocks of rows stacked into one (sum n_i, d) array: item i's
+    block is rows[offsets[i]:offsets[i + 1]], and indexing by item returns
+    that block as a view into rows."""
 
-    video, caption: (B, d). hard: length-B list of (n_i, d) arrays holding
-    each item's sampled hard-negative caption embeddings. verb: optional
-    (B, d) verb-phrase embeddings with verb_mask marking items that have one.
-    """
+    rows: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of_blocks(cls, blocks, d: int) -> "StackedRows":
+        blocks = [np.asarray(b, dtype=np.float64).reshape(-1, d) for b in blocks]
+        offsets = np.cumsum([0, *(b.shape[0] for b in blocks)], dtype=np.int64)
+        return cls(np.concatenate(blocks) if blocks else np.zeros((0, d)), offsets)
+
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        i = range(len(self))[i]
+        return self.rows[self.offsets[i]:self.offsets[i + 1]]
+
+
+@dataclass
+class BatchTensors:
+    """One training batch of f64 embeddings. video, caption: (B, d). hard:
+    each item's sampled hard-negative caption embeddings as StackedRows,
+    given as that or as a length-B list of (n_i, d) arrays. verb: optional
+    (B, d) verb-phrase embeddings with verb_mask marking items that have one."""
 
     video: np.ndarray
     caption: np.ndarray
-    hard: list[np.ndarray] = field(default_factory=list)
+    hard: StackedRows | list = field(default_factory=list)
     verb: np.ndarray | None = None
     verb_mask: np.ndarray | None = None
 
@@ -81,42 +107,37 @@ class BatchTensors:
             raise ValueError("batch size must be at least 2")
         if self.caption.shape != (B, d):
             raise ValueError("caption shape must match video shape")
-        if not self.hard:
-            self.hard = [np.zeros((0, d)) for _ in range(B)]
+        if not isinstance(self.hard, StackedRows):
+            self.hard = StackedRows.of_blocks(self.hard or [()] * B, d)
         if len(self.hard) != B:
-            raise ValueError("hard list must have one entry per batch item")
-        self.hard = [np.asarray(h, dtype=np.float64).reshape(-1, d) for h in self.hard]
+            raise ValueError("hard negatives must have one block per batch item")
+        self.hard.rows = np.asarray(self.hard.rows, dtype=np.float64).reshape(-1, d)
         if self.verb is not None:
             self.verb = np.asarray(self.verb, dtype=np.float64)
             if self.verb.shape != (B, d):
                 raise ValueError("verb shape must match video shape")
-            if self.verb_mask is None:
-                self.verb_mask = np.ones(B, dtype=bool)
-            else:
-                self.verb_mask = np.asarray(self.verb_mask, dtype=bool)
-                if self.verb_mask.shape != (B,):
-                    raise ValueError("verb_mask must have one flag per item")
+            mask = np.ones(B, dtype=bool) if self.verb_mask is None else self.verb_mask
+            self.verb_mask = np.asarray(mask, dtype=bool)
+            if self.verb_mask.shape != (B,):
+                raise ValueError("verb_mask must have one flag per item")
 
     @property
     def batch_size(self) -> int:
         return self.video.shape[0]
 
     def hard_counts(self) -> list[int]:
-        return [h.shape[0] for h in self.hard]
+        return self.hard.counts().tolist()
 
 
 @dataclass
 class LossGrads:
-    """Gradients with respect to the batch tensors.
-
-    hard is a per-item list of (n_i, d) arrays, or empty for a term that does
-    not reach the hard negatives; verb is None when the term has no verb
-    gradient.
-    """
+    """Gradients with respect to the batch tensors. hard is in the batch's
+    StackedRows blocks, or None for a term that does not reach the hard
+    negatives; verb is None when the term has no verb gradient."""
 
     video: np.ndarray
     caption: np.ndarray
-    hard: list[np.ndarray] = field(default_factory=list)
+    hard: StackedRows | None = None
     verb: np.ndarray | None = None
 
 
@@ -215,20 +236,19 @@ def info_nce_v2t(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
 def _v2t_with_negatives(batch: BatchTensors, cfg: LossConfig, term: str,
                         own_only: bool) -> LossOutput:
     """v2t over [captions; stacked negatives], all or only own negatives on."""
-    counts = batch.hard_counts()
-    if sum(counts) == 0:
+    if not batch.hard.rows.size:
         # No generated negatives: identical to the baseline, bit for bit.
         out = info_nce_v2t(batch, cfg)
         return LossOutput(out.total, {term: out.total}, out.grads)
     B = batch.batch_size
     idx = np.arange(B)
-    candidates = np.vstack([batch.caption, *batch.hard])
+    candidates = np.vstack([batch.caption, batch.hard.rows])
     negs = np.ones((B, candidates.shape[0]), dtype=bool)
     negs[idx, idx] = False
     if own_only:
-        negs[:, B:] = np.repeat(idx, counts) == idx[:, None]
+        negs[:, B:] = np.repeat(idx, batch.hard.counts()) == idx[:, None]
     total, gv, gc = _contrast(batch.video, candidates, idx, negs, cfg)
-    hard = np.split(gc[B:], np.cumsum(counts)[:-1])
+    hard = StackedRows(gc[B:], batch.hard.offsets)
     return LossOutput(total, {term: total}, LossGrads(gv, gc[:B], hard))
 
 
@@ -289,9 +309,7 @@ def uniform_normalizer(term: str, batch_size: int, hard_counts=None) -> float:
         return float(np.log(batch_size))
     if term == "calibrated_hn":
         counts = np.asarray(hard_counts if hard_counts is not None else [])
-        if counts.size == 0:
-            return float(np.log(batch_size))
-        return float(np.mean(np.log(batch_size + counts)))
+        return float(np.mean(np.log(batch_size + counts)) if counts.size else np.log(batch_size))
     if term == "hn_uncalibrated":
         total = int(np.sum(hard_counts)) if hard_counts is not None else 0
         return float(np.log(batch_size + total))
@@ -337,18 +355,17 @@ def combined_vfc(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     term2 = mid.total / div2
     term3 = verb.total / div3 if members else 0.0
     total = cfg.lambda1 * term1 + cfg.lambda2 * term2 + cfg.lambda3 * term3
-    # Only the negative term reaches the hard negatives: scale its per-item
-    # gradients, or give zeros when it has none.
+    # Only the negative term reaches the hard negatives: scale its stacked
+    # gradient, or give zeros when it has none.
+    hard = mid.grads.hard
     grads = LossGrads(
         video=s1 * t2v.grads.video + s2 * mid.grads.video,
         caption=s1 * t2v.grads.caption + s2 * mid.grads.caption,
-        hard=[s2 * h for h in mid.grads.hard] or [np.zeros_like(h) for h in batch.hard],
+        hard=StackedRows(np.zeros_like(batch.hard.rows) if hard is None else s2 * hard.rows,
+                         batch.hard.offsets),
         verb=None if batch.verb is None else s3 * verb.grads.verb,
     )
     if members:
         grads.video += s3 * verb.grads.video
-    return LossOutput(
-        float(total),
-        {"t2v": float(term1), "chn": float(term2), "verb_phrase": float(term3)},
-        grads,
-    )
+    terms = {"t2v": float(term1), "chn": float(term2), "verb_phrase": float(term3)}
+    return LossOutput(float(total), terms, grads)

@@ -8,12 +8,12 @@ several). Runs with identical manifest and config therefore produce
 identical batch index streams, and resuming from an epoch-boundary
 checkpoint is bit-exact.
 
-train_loop compiles the manifest once against the encoders' vocabulary
-(compile_manifest): each string a step can embed becomes a row of token ids.
-A step slices its rows out of that table, embeds them with one forward call
-per tower, and sends the loss gradients back with one backward call per
-tower. The backward is one fixed-order scatter-add, each item's caption,
-negatives and phrase in batch order, so equal-seed reruns stay
+train_loop builds the kept-negative pools and compiles the manifest once
+(compile_manifest): every string a step can embed becomes token ids. A step
+lays its rows out once, embeds them with one forward call per tower, passes
+the hard negatives through the loss as one stacked array, and sends the
+gradients back with one backward call per tower that reuses the forward's
+activations and adds in batch order, so equal-seed reruns stay
 byte-identical.
 
 The optimizer is plain SGD, theta <- theta - lr*(grad + weight_decay*theta);
@@ -38,7 +38,7 @@ import numpy as np
 from .calibration import VARIANT_FROM_LOSS
 from .corpus import DatasetManifest, write_atomic
 from .encoders import DualEncoders, EncoderConfig, EncoderError, EncoderGrads, TokenIds
-from .losses import BatchTensors, LossConfig, combined_vfc
+from .losses import BatchTensors, LossConfig, LossGrads, StackedRows, combined_vfc
 
 TRAIN_CHECKPOINT_FORMAT = "verbfocus-train"
 TRAIN_CHECKPOINT_VERSION = 1
@@ -105,13 +105,7 @@ class BatchIndexRecord:
     phrase_choices: list[int]
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "step": self.step,
-            "caption_indices": self.caption_indices,
-            "hard_indices": self.hard_indices,
-            "phrase_choices": self.phrase_choices,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -129,24 +123,21 @@ class EpochPlan:
     records: list[BatchIndexRecord]
 
 
-def _train_caption_indices(manifest: DatasetManifest) -> list[int]:
+def sample_epoch(manifest: DatasetManifest, cfg: TrainConfig, epoch: int,
+                 pools: dict | None = None) -> EpochPlan:
+    """Draw every batch of one epoch. Short final batches below 2 are dropped.
+    pools is manifest.negative_pools(), built here when not given."""
     split_of = {v.video_id: v.split for v in manifest.videos}
-    return [i for i, cap in enumerate(manifest.captions)
-            if split_of[cap.video_id] == "train"]
-
-
-def sample_epoch(manifest: DatasetManifest, cfg: TrainConfig, epoch: int) -> EpochPlan:
-    """Draw every batch of one epoch. Short final batches below 2 are dropped."""
-    items = _train_caption_indices(manifest)
+    items = [i for i, cap in enumerate(manifest.captions) if split_of[cap.video_id] == "train"]
     if not items:
         raise TrainerError("train split is empty")
-    pools = manifest.negative_pools()
+    if pools is None:
+        pools = manifest.negative_pools()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch]))
     order = rng.permutation(len(items))
     bs = min(cfg.batch_size, len(items))
     records = []
-    step = 0
-    for start in range(0, len(order), bs):
+    for step, start in enumerate(range(0, len(order), bs)):
         chunk = order[start : start + bs]
         if chunk.size < 2:
             break
@@ -156,23 +147,15 @@ def sample_epoch(manifest: DatasetManifest, cfg: TrainConfig, epoch: int) -> Epo
         for ci in caption_indices:
             cap = manifest.captions[ci]
             pool = pools.get((cap.video_id, cap.text), [])
-            take = min(len(pool), cfg.n_hard_max)
-            if take == 0:
-                hard_indices.append([])
-            elif len(pool) > cfg.n_hard_max:
-                picks = rng.choice(len(pool), size=take, replace=False)
-                hard_indices.append([pool[int(p)] for p in picks])
+            if len(pool) > cfg.n_hard_max > 0:
+                picks = rng.choice(len(pool), size=cfg.n_hard_max, replace=False)
+                hard_indices.append([pool[p] for p in picks.tolist()])
             else:
-                hard_indices.append(list(pool))
+                hard_indices.append(pool[:cfg.n_hard_max])
             nph = len(cap.verb_phrases)
-            if nph == 0:
-                phrase_choices.append(-1)
-            elif nph == 1:
-                phrase_choices.append(0)
-            else:
-                phrase_choices.append(int(rng.integers(nph)))
+            # -1 marks a caption without phrases; only a choice among several draws.
+            phrase_choices.append(int(rng.integers(nph)) if nph > 1 else nph - 1)
         records.append(BatchIndexRecord(epoch, step, caption_indices, hard_indices, phrase_choices))
-        step += 1
     return EpochPlan(records)
 
 
@@ -194,10 +177,14 @@ class CompiledManifest:
     video_row: np.ndarray
 
 
-def compile_manifest(manifest: DatasetManifest, encoders: DualEncoders) -> CompiledManifest:
-    """Tokenize every string a training step can embed, once."""
+def compile_manifest(manifest: DatasetManifest, encoders: DualEncoders,
+                     pools: dict | None = None) -> CompiledManifest:
+    """Tokenize every string a training step can embed, once. pools is
+    manifest.negative_pools(), built here when not given."""
     caps = manifest.captions
-    drawable = sorted(g for pool in manifest.negative_pools().values() for g in pool)
+    if pools is None:
+        pools = manifest.negative_pools()
+    drawable = sorted(g for pool in pools.values() for g in pool)
     generation_row = np.full(len(manifest.generations), -1, dtype=np.int64)
     generation_row[drawable] = len(caps) + np.arange(len(drawable))
     n_phrases = np.array([len(c.verb_phrases) for c in caps], dtype=np.int64)
@@ -209,28 +196,13 @@ def compile_manifest(manifest: DatasetManifest, encoders: DualEncoders) -> Compi
     return CompiledManifest(text, generation_row, phrase_row, video_row)
 
 
-def _compiled(manifest, encoders: DualEncoders) -> CompiledManifest:
-    if isinstance(manifest, CompiledManifest):
-        return manifest
-    return compile_manifest(manifest, encoders)
-
-
-@dataclass
-class _BatchLayout:
-    """Where one record's strings sit in its text rows: per item its
-    caption, then its negatives, then its chosen phrase if any. Both the
-    forward and the backward use this order, which is the order the
-    per-string backward added them into the gradient table."""
-
-    rows: np.ndarray
-    caption_at: np.ndarray
-    hard_at: np.ndarray
-    hard_bounds: list[int]
-    phrase_at: np.ndarray
-    has_phrase: np.ndarray
-
-
-def _batch_layout(compiled: CompiledManifest, record: BatchIndexRecord) -> _BatchLayout:
+def _forward(manifest, encoders: DualEncoders, record: BatchIndexRecord):
+    """The record's batch, and the backward that sends its LossGrads into an
+    EncoderGrads reusing this forward's layout and activations. The strings
+    are laid out once, per item its caption, its negatives and its chosen
+    phrase if any: the order the per-string backward added them in."""
+    if not isinstance(manifest, CompiledManifest):
+        manifest = compile_manifest(manifest, encoders)
     caps = np.asarray(record.caption_indices, dtype=np.int64)
     n_hard = np.array([len(h) for h in record.hard_indices], dtype=np.int64)
     hard_bounds = np.zeros(len(caps) + 1, dtype=np.int64)
@@ -245,68 +217,60 @@ def _batch_layout(compiled: CompiledManifest, record: BatchIndexRecord) -> _Batc
     phrase_at = (caption_at + 1 + n_hard)[has_phrase]
     rows = np.empty(int(width.sum()), dtype=np.int64)
     rows[caption_at] = caps
-    rows[hard_at] = compiled.generation_row[gens]
+    rows[hard_at] = manifest.generation_row[gens]
     if (rows[hard_at] < 0).any():
         raise TrainerError(f"batch record at epoch {record.epoch} step {record.step} "
                            "draws a generation that is not a kept hard negative")
-    rows[phrase_at] = compiled.phrase_row[caps[has_phrase]] + choices[has_phrase]
-    return _BatchLayout(rows, caption_at, hard_at, hard_bounds.tolist(), phrase_at, has_phrase)
+    rows[phrase_at] = manifest.phrase_row[caps[has_phrase]] + choices[has_phrase]
+    tokens = manifest.text.take(rows)
+    text = encoders.forward_ids(tokens)
+    video_rows = manifest.video_row[caps]
+    video = encoders.forward_video_rows(video_rows)
+    unit = text[0]
+    verb = None
+    if has_phrase.any():
+        verb = np.zeros_like(video[0])
+        verb[has_phrase] = unit[phrase_at]
+    batch = BatchTensors(video[0], unit[caption_at], StackedRows(unit[hard_at], hard_bounds),
+                         verb, has_phrase if verb is not None else None)
+
+    def backward(out: LossGrads, grads: EncoderGrads) -> None:
+        upstream = np.empty_like(unit)
+        upstream[caption_at] = out.caption
+        upstream[hard_at] = out.hard.rows
+        if verb is not None:
+            upstream[phrase_at] = out.verb[has_phrase]
+        encoders.backward_ids(tokens, upstream, grads, text)
+        encoders.backward_video_rows(video_rows, out.video, grads, video)
+
+    return batch, backward
 
 
 def materialize_batch(manifest, encoders: DualEncoders,
                       record: BatchIndexRecord) -> BatchTensors:
-    """The record's embeddings: one forward call per tower.
-
-    manifest is a CompiledManifest, or a DatasetManifest compiled for this
-    call only."""
-    compiled = _compiled(manifest, encoders)
-    layout = _batch_layout(compiled, record)
-    text = encoders.encode_ids(compiled.text.take(layout.rows))
-    video = encoders.encode_video_rows(compiled.video_row[record.caption_indices])
-    hard_rows = text[layout.hard_at]
-    bounds = layout.hard_bounds
-    hard = [hard_rows[a:b] for a, b in zip(bounds, bounds[1:])]
-    verb = None
-    if layout.has_phrase.any():
-        verb = np.zeros_like(video)
-        verb[layout.has_phrase] = text[layout.phrase_at]
-    return BatchTensors(video=video, caption=text[layout.caption_at], hard=hard, verb=verb,
-                        verb_mask=layout.has_phrase if verb is not None else None)
+    """The record's embeddings: one forward call per tower. manifest is a
+    CompiledManifest, or a DatasetManifest compiled for this call only."""
+    return _forward(manifest, encoders, record)[0]
 
 
 def train_step(manifest, state: TrainState, cfg: TrainConfig,
                record: BatchIndexRecord, grads: EncoderGrads | None = None):
-    """One forward/backward/SGD step; returns the LossOutput.
-
-    manifest is a CompiledManifest, or a DatasetManifest compiled for this
-    call only. The backward is one call per tower."""
+    """One forward/backward/SGD step; returns the LossOutput. manifest is as
+    for materialize_batch."""
     enc = state.encoders
-    compiled = _compiled(manifest, enc)
     fed = record
     if cfg.loss.negative_variant == "none":
         # The loss never reads the sampled hard negatives: neither embed them
         # nor send their all-zero gradients back.
         fed = replace(record, hard_indices=[[] for _ in record.hard_indices])
-    batch = materialize_batch(compiled, enc, fed)
+    batch, backward = _forward(manifest, enc, fed)
     out = combined_vfc(batch, cfg.loss)
     if not np.isfinite(out.total):
-        raise TrainerError(
-            f"non-finite loss at epoch {record.epoch} step {record.step}; "
-            f"batch record: {record.to_dict()}"
-        )
-    if grads is None:
-        grads = EncoderGrads.zeros_for(enc)
-    else:
-        grads.clear()
-    layout = _batch_layout(compiled, fed)
-    upstream = np.empty((layout.rows.size, enc.config.dim))
-    upstream[layout.caption_at] = out.grads.caption
-    if layout.hard_at.size:
-        upstream[layout.hard_at] = np.concatenate(out.grads.hard)
-    if layout.phrase_at.size:
-        upstream[layout.phrase_at] = out.grads.verb[layout.has_phrase]
-    enc.backward_ids(compiled.text.take(layout.rows), upstream, grads)
-    enc.backward_video_rows(compiled.video_row[record.caption_indices], out.grads.video, grads)
+        raise TrainerError(f"non-finite loss at epoch {record.epoch} step {record.step}; "
+                           f"batch record: {record.to_dict()}")
+    grads = EncoderGrads.zeros_for(enc) if grads is None else grads
+    grads.clear()
+    backward(out.grads, grads)
     enc.apply_sgd(grads, cfg.learning_rate, cfg.weight_decay)
     state.step += 1
     return out
@@ -351,8 +315,9 @@ def simulate_usage(manifest: DatasetManifest, cfg: TrainConfig, epochs: int,
                    variant: str | None = None) -> UsageCounter:
     """Run only the batch sampler and count usages; no encoders involved."""
     counter = UsageCounter(variant or cfg.loss.negative_variant)
+    pools = manifest.negative_pools()
     for epoch in range(epochs):
-        for record in sample_epoch(manifest, cfg, epoch).records:
+        for record in sample_epoch(manifest, cfg, epoch, pools).records:
             counter.observe(manifest, record)
     return counter
 
@@ -360,13 +325,8 @@ def simulate_usage(manifest: DatasetManifest, cfg: TrainConfig, epochs: int,
 def save_train_checkpoint(path, state: TrainState, cfg: TrainConfig) -> None:
     # No timing fields in the header: checkpoint bytes must be identical
     # across equal-seed runs.
-    header = {
-        "format": TRAIN_CHECKPOINT_FORMAT,
-        "version": TRAIN_CHECKPOINT_VERSION,
-        "train_config": asdict(cfg),
-        "epoch": state.epoch,
-        "step": state.step,
-    }
+    header = {"format": TRAIN_CHECKPOINT_FORMAT, "version": TRAIN_CHECKPOINT_VERSION,
+              "train_config": asdict(cfg), "epoch": state.epoch, "step": state.step}
     write_atomic(path, json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n"
                  + state.encoders.to_bytes())
 
@@ -401,7 +361,8 @@ def train_loop(manifest: DatasetManifest, cfg: TrainConfig,
     """
     if state is None:
         state = TrainState(encoders=DualEncoders.from_manifest(manifest, cfg.encoder))
-    compiled = compile_manifest(manifest, state.encoders)
+    pools = manifest.negative_pools()
+    compiled = compile_manifest(manifest, state.encoders, pools)
     metrics: list[dict] = []
     grads = EncoderGrads.zeros_for(state.encoders)
     # The one artifact written in place: a resumed run appends one row per
@@ -411,24 +372,18 @@ def train_loop(manifest: DatasetManifest, cfg: TrainConfig,
     try:
         for epoch in range(state.epoch, cfg.epochs):
             t0 = time.perf_counter()
-            plan = sample_epoch(manifest, cfg, epoch)
+            plan = sample_epoch(manifest, cfg, epoch, pools)
             sums = Counter()
             for record in plan.records:
                 out = train_step(compiled, state, cfg, record, grads)
                 if usage is not None:
                     usage.observe(manifest, record)
-                sums["total"] += out.total
-                for key, val in out.terms.items():
+                for key, val in {"total": out.total, **out.terms}.items():
                     sums[key] += val
             n = max(len(plan.records), 1)
-            row = {
-                "epoch": epoch,
-                "total": sums["total"] / n,
-                "t2v": sums["t2v"] / n,
-                "chn": sums["chn"] / n,
-                "verb_phrase": sums["verb_phrase"] / n,
-                "wall_ms": (time.perf_counter() - t0) * 1e3,
-            }
+            row = {"epoch": epoch,
+                   **{k: sums[k] / n for k in ("total", "t2v", "chn", "verb_phrase")},
+                   "wall_ms": (time.perf_counter() - t0) * 1e3}
             state.epoch = epoch + 1
             state.last_metrics = row
             metrics.append(row)

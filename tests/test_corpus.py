@@ -1,12 +1,19 @@
 """Manifest schema, JSONL round trips, and the synthetic corpus builder."""
 
+import json
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from verbfocus import corpus
 from verbfocus.corpus import (CaptionRecord, CorpusError, DatasetManifest,
                               GeneratedCaption, SynthSpec, VerbPhrase,
                               VideoRecord, load_manifest, make_synthetic_corpus,
                               save_manifest, set_kept_flags,
-                              synth_context_tokens, synth_verb_phrase)
+                              synth_context_tokens, synth_verb_phrase, write_jsonl)
+
+from conftest import random_manifest
 
 
 def small_manifest():
@@ -123,6 +130,46 @@ def test_set_kept_flags():
     assert out.generations[0].kept is False
     assert out.generations[1].kept is False  # untouched flag survives
     assert m.generations[0].kept is True  # original unchanged
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_set_kept_flags_equals_replacing_every_generation(seed):
+    """Same result as replace(g, kept=kept.get(i, g.kept)) over every
+    generation, out-of-range keys ignored; unchanged records are shared."""
+    rng = np.random.default_rng(seed)
+    m = random_manifest(rng)
+    n = len(m.generations)
+    kept = {int(i): bool(rng.random() < 0.5)
+            for i in rng.integers(-2, n + 3, size=int(rng.integers(0, n + 5)))}
+    out = set_kept_flags(m, kept)
+    old = [replace(g, kept=kept.get(i, g.kept)) for i, g in enumerate(m.generations)]
+    assert out.generations == old
+    assert repr(out.generations) == repr(old)
+    for g, h in zip(m.generations, out.generations):
+        assert (g is h) == (g.kept is h.kept)
+    assert (out.videos, out.captions) == (m.videos, m.captions)
+
+
+def test_load_validates_each_phrase_surface_once(tmp_path, monkeypatch):
+    m = small_manifest()
+    m.captions.append(CaptionRecord("v1", "a cat eating", (VerbPhrase("eating"),)))
+    m.generations.extend(m.generations[:1] * 3)
+    path = tmp_path / "m.jsonl"
+    save_manifest(m, path)
+    checked = []
+    is_normalized = corpus.is_normalized
+    monkeypatch.setattr(corpus, "is_normalized", lambda s: checked.append(s) or is_normalized(s))
+    assert load_manifest(path) == m
+    assert sorted(checked) == ["eating", "runs", "sleeping"]
+
+
+def test_write_jsonl_lines_are_json_dumps(tmp_path):
+    records = [{"record": "x", "text": "caf\u00e9 \u2028 \"q\"", "n": [1, 2.5, None, True]},
+               {"nested": {"a": ["\u00fc", {"b": -0.0}]}, "e": 1e300}]
+    path = tmp_path / "r.jsonl"
+    write_jsonl(path, records)
+    expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_negative_pools_hold_kept_hard_negatives_in_generation_order():

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verbfocus.corpus import CaptionRecord, DatasetManifest, GeneratedCaption, VerbPhrase, VideoRecord
-from verbfocus.encoders import DualEncoders, EncoderConfig, EncoderError, EncoderGrads
+from verbfocus.encoders import (DualEncoders, EncoderConfig, EncoderError, EncoderGrads,
+                                TokenIds, row_dots)
 
 
 def small_encoders(**cfg_kwargs):
@@ -271,3 +272,40 @@ def test_batched_video_backward_adds_repeated_rows():
     assert np.array_equal(batched.video, single.video)
     np.testing.assert_array_equal(enc.encode_video_rows([1, 0, 1]),
                                   enc.encode_videos(["v2", "v1", "v2"]))
+
+
+def _through_normalization(forward, upstream):
+    u, norms = forward
+    return (upstream - row_dots(u, upstream)[:, None] * u) / norms[:, None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       lengths=st.lists(st.integers(1, 6), min_size=1, max_size=12),
+       vocab=st.integers(1, 6), data=st.data())
+def test_scatter_add_equals_add_at_on_a_filled_buffer(seed, lengths, vocab, data):
+    """Random id streams with repeats, into gradient buffers that already
+    hold values: backward_ids and backward_video_rows equal np.add.at of
+    each occurrence's share, in input order, bit for bit."""
+    rng = np.random.default_rng(seed)
+    enc = DualEncoders(EncoderConfig(dim=3, seed=seed), ["v0", "v1", "v2"],
+                       [f"w{i}" for i in range(vocab)])
+    rows = data.draw(st.lists(st.integers(0, vocab), min_size=sum(lengths),
+                              max_size=sum(lengths)))
+    tokens = TokenIds(np.cumsum([0, *lengths]), np.array(rows, dtype=np.int64))
+    upstream = rng.normal(size=(len(lengths), 3))
+    grads = EncoderGrads(rng.normal(size=enc.video_table.shape) * 1e3,
+                         rng.normal(size=enc.token_table.shape) * 1e3)
+    ref = grads.token.copy()
+    g = _through_normalization(enc.forward_ids(tokens), upstream)
+    n = tokens.lengths()[:, None]
+    np.add.at(ref, tokens.ids, np.repeat(g / n, tokens.lengths(), axis=0))
+    enc.backward_ids(tokens, upstream, grads)
+    assert np.array_equal(grads.token, ref)
+
+    videos = np.array(data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=8)))
+    upstream = rng.normal(size=(videos.size, 3))
+    ref = grads.video.copy()
+    np.add.at(ref, videos, _through_normalization(enc.forward_video_rows(videos), upstream))
+    enc.backward_video_rows(videos, upstream, grads)
+    assert np.array_equal(grads.video, ref)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (fd_check, naive_chn, naive_combined, naive_hn, naive_t2v,
                       naive_v2t, naive_verb, random_batch, rel_err, unit_rows)
-from verbfocus.losses import (BatchTensors, LossConfig, combined_vfc,
+from verbfocus.losses import (BatchTensors, LossConfig, StackedRows, combined_vfc,
                               hardneg_nce_weights, info_nce_t2v, info_nce_v2t,
                               loss_chn, loss_hn_uncalibrated, loss_verb_phrase,
                               uniform_normalizer)
@@ -238,3 +238,31 @@ def test_losses_nonnegative_and_permutation_equivariant(seed, B):
     assert out2.total == pytest.approx(out.total, rel=1e-12)
     assert np.allclose(out2.grads.video, out.grads.video[perm], atol=1e-12)
     assert np.allclose(out2.grads.caption, out.grads.caption[perm], atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["none", "hn_uncalibrated", "calibrated_hn"])
+@pytest.mark.parametrize("mode", ["standard", "hardneg_nce"])
+def test_stacked_and_per_item_negatives_give_the_same_bits(variant, mode, rng):
+    """A batch built from a per-item list and one built from the stacked
+    array give equal totals, terms and gradients bit for bit; the stacked
+    gradient indexes per item."""
+    counts = [2, 0, 3, 1, 0]
+    listed = random_batch(rng, 5, 4, hard_counts=counts, with_verb=True)
+    blocks = [listed.hard[i].copy() for i in range(5)]
+    listed = BatchTensors(listed.video, listed.caption, blocks, listed.verb, listed.verb_mask)
+    offsets = np.cumsum([0, *counts])
+    stacked = BatchTensors(listed.video, listed.caption,
+                           StackedRows(np.concatenate(blocks), offsets),
+                           listed.verb, listed.verb_mask)
+    cfg = LossConfig(sigma=0.2, negative_variant=variant, nce_mode=mode)
+    a, b = combined_vfc(listed, cfg), combined_vfc(stacked, cfg)
+    assert a.total == b.total and a.terms == b.terms
+    for name in ("video", "caption", "verb"):
+        assert np.array_equal(getattr(a.grads, name), getattr(b.grads, name))
+    assert np.array_equal(a.grads.hard.rows, b.grads.hard.rows)
+    assert stacked.hard_counts() == listed.hard_counts() == counts
+    for i, n in enumerate(counts):
+        assert np.array_equal(stacked.hard[i], blocks[i])
+        assert b.grads.hard[i].shape == (n, 4)
+        assert np.array_equal(b.grads.hard[i], b.grads.hard.rows[offsets[i]:offsets[i + 1]])
+    assert [h.shape[0] for h in b.grads.hard] == counts

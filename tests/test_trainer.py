@@ -1,14 +1,17 @@
 """Batch sampling, SGD stepping, usage accounting, resume semantics."""
 
+import hashlib
 import json
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from verbfocus.calibration import calibrate_filter
 from verbfocus.corpus import CaptionRecord, DatasetManifest, VerbPhrase, VideoRecord
 from verbfocus import encoders as encoders_module
 from verbfocus.encoders import DualEncoders, EncoderConfig, EncoderError, EncoderGrads
+from verbfocus.experiments import build_shortcut_manifest
 from verbfocus.losses import LossConfig, combined_vfc
 from verbfocus.trainer import (
     BatchIndexRecord,
@@ -174,9 +177,9 @@ def test_no_negative_variant_skips_the_hard_negatives(monkeypatch):
     rows = []
     backward_ids = DualEncoders.backward_ids
 
-    def counted(self, tokens, upstream, grads):
+    def counted(self, tokens, upstream, grads, forward=None):
         rows.append(len(tokens))
-        return backward_ids(self, tokens, upstream, grads)
+        return backward_ids(self, tokens, upstream, grads, forward)
 
     monkeypatch.setattr(DualEncoders, "backward_ids", counted)
     for variant, expected in (("none", 24), ("hn_uncalibrated", 36)):
@@ -365,3 +368,42 @@ def test_usage_counter_accepts_loss_variant_names():
     assert UsageCounter("none").variant == "baseline"
     assert UsageCounter("hn_uncalibrated").variant == "hn"
     assert UsageCounter("calibrated_hn").variant == "calibrated_hn"
+
+
+# -- pinned bits -------------------------------------------------------------
+
+def _trained_digests(variant: str) -> list[str]:
+    """sha256 of the token table, the video table and the metric rows (all
+    but wall_ms) after 2 epochs on a small shortcut manifest."""
+    manifest = build_shortcut_manifest(seed=3, n_contexts=6, verbs=6)
+    if variant == "calibrated_hn":
+        manifest, _ = calibrate_filter(manifest)
+    cfg = desk_config(batch_size=16, epochs=2, seed=3, n_hard_max=3,
+                      loss=LossConfig(sigma=0.05, negative_variant=variant, lambda3=1.0),
+                      encoder=EncoderConfig(dim=8, seed=3))
+    state, metrics = train_loop(manifest, cfg)
+    rows = [(r["total"], r["t2v"], r["chn"], r["verb_phrase"]) for r in metrics]
+    blobs = (state.encoders.token_table.tobytes(), state.encoders.video_table.tobytes(),
+             repr(rows).encode())
+    return [hashlib.sha256(b).hexdigest() for b in blobs]
+
+
+# Recorded before the stacked hard negatives, the reused forward activations
+# and the bincount scatter-add: each of them must leave every bit in place.
+PINNED_DIGESTS = {
+    "hn_uncalibrated": [
+        "aea9e209cd4c42b655f019ee0b9e875d96daed5ae805592e0057696b65c764ad",
+        "92561e108aea925415910b3cd05e07f50f15d8630c599c0d7d9f219d40dae5d2",
+        "7f54284272090945f0299722c1e48b201be947769edd4660cabbf08275e9e097",
+    ],
+    "calibrated_hn": [
+        "7c130082b620a760814ad572f081e6fd0329da48e36fb5bb2ab8f605a5d609e1",
+        "7a69bcc971dbf51ef35dce17bebda6c0a620b7c4fc1a600cae2178653fa88acf",
+        "374a5e615215b92a8e3cd3f8ed2fbb033681ace3d4506c365415286cbeab7558",
+    ],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED_DIGESTS))
+def test_training_reproduces_the_pinned_bits(variant):
+    assert _trained_digests(variant) == PINNED_DIGESTS[variant]
