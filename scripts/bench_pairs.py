@@ -13,8 +13,10 @@ the change runs once more traced (--trace 1) at the first seed.
 For each workload the script writes BENCH_<number>_<workload>.json to
 --out-dir: the change's untraced end-to-end metrics (median, quartiles and
 the per-run values), the parent's in the same form, how many pairs the change
-won on each metric, the environment the benchmark reported, and the traced
-run's per-layer metrics.
+won on each metric, the change's median relative to the parent's with whether
+that is worse than the metric's bound in BENCHMARK.json (the no-regression
+rule), the environment the benchmark reported, and the traced run's
+per-layer metrics.
 """
 
 from __future__ import annotations
@@ -62,9 +64,23 @@ def pairs_won(parent: list[dict], change: list[dict], better: dict[str, str]) ->
     return won
 
 
+def against_parent(parent: dict, change: dict, better: dict[str, str],
+                   bounds: dict[str, float]) -> dict[str, dict]:
+    """Per metric, the change's median over the parent's (summaries as from
+    summarize) and whether that is worse than the metric's relative bound."""
+    out = {}
+    for name in END_TO_END:
+        ratio = change[name]["median"] / parent[name]["median"]
+        worse = ratio - 1 if better[name] == "lower" else 1 - ratio
+        out[name] = {"median_ratio": round(ratio, 6), "bound": bounds[name],
+                     "worse_than_bound": worse > bounds[name]}
+    return out
+
+
 def bench_file(workload: str, seconds: float, seeds: list[int], environment: dict,
                parent: list[dict], change: list[dict], better: dict[str, str],
-               traced_seed: int, traced: dict) -> dict:
+               bounds: dict[str, float], traced_seed: int, traced: dict) -> dict:
+    untraced, parent_untraced = summarize(change), summarize(parent)
     return {
         "workload": workload,
         "code": "this change",
@@ -75,13 +91,14 @@ def bench_file(workload: str, seconds: float, seeds: list[int], environment: dic
         "seeds": seeds,
         "all_correct": all(r["correct"] for r in change),
         "failed": sum(r["failed"] for r in change),
-        "untraced": summarize(change),
+        "untraced": untraced,
         "traced": {"seed": traced_seed, "correct": traced["correct"], "failed": traced["failed"],
                    "metrics": {k: v["value"] for k, v in traced["metrics"].items()}},
         "parent": {"all_correct": all(r["correct"] for r in parent),
                    "failed": sum(r["failed"] for r in parent),
-                   "untraced": summarize(parent)},
+                   "untraced": parent_untraced},
         "pairs_won": pairs_won(parent, change, better),
+        "vs_parent": against_parent(parent_untraced, untraced, better, bounds),
     }
 
 
@@ -105,6 +122,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     for workload in args.workload:
         sides = {"parent": [], "change": []}
         environment = None
@@ -119,7 +137,7 @@ def main(argv=None) -> int:
                       f"{result['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
         _, traced = run_once(args.change, workload, args.seeds[0], args.seconds, 1)
         out = bench_file(workload, args.seconds, args.seeds, environment, sides["parent"],
-                         sides["change"], better, args.seeds[0], traced)
+                         sides["change"], better, bounds, args.seeds[0], traced)
         path = args.out_dir / f"BENCH_{args.number}_{workload}.json"
         path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {path}", file=sys.stderr)

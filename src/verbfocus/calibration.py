@@ -2,8 +2,11 @@
 that balances generated negatives against caption occurrences.
 
 S counts how often a verb phrase occurs across original train captions,
-G how often across generated hard negatives. Under a batch size B the
-expected negative-to-positive usage ratio of a phrase is:
+G how often across generated hard negatives. usage_weights is the one
+source of the negative uses per occurrence (B-1 per caption occurrence; B,
+1 or 0 per hard-negative occurrence), which compute_ratio and
+trainer.UsageCounter both apply. Under a batch size B the expected
+negative-to-positive usage ratio of a phrase is:
 
   baseline        (B-1)S/S        = B-1            (phrase-independent)
   hn              ((B-1)S + B*G)/S                 (every item sees all negatives)
@@ -49,37 +52,29 @@ def count_concepts(manifest: DatasetManifest, kept_only: bool = False) -> dict[s
     Multiplicity counts: a phrase listed twice on one record contributes two.
     With kept_only, only generations whose kept flag is set contribute to G.
     """
-    stats: dict[str, ConceptStats] = {}
+    s = Counter(ph.surface for cap in manifest.captions_for_split("train")
+                for ph in cap.verb_phrases)
+    g = Counter(ph.surface for gen in manifest.generations
+                if gen.kind == "hard_negative" and (gen.kept or not kept_only)
+                for ph in gen.verb_phrases)
+    return {c: ConceptStats(c, s[c], g[c]) for c in s | g}
 
-    def bump(surface: str, attr: str):
-        st = stats.setdefault(surface, ConceptStats(surface))
-        setattr(st, attr, getattr(st, attr) + 1)
 
-    for cap in manifest.captions_for_split("train"):
-        for ph in cap.verb_phrases:
-            bump(ph.surface, "s_count")
-    for gen in manifest.generations:
-        if gen.kind != "hard_negative":
-            continue
-        if kept_only and not gen.kept:
-            continue
-        for ph in gen.verb_phrases:
-            bump(ph.surface, "g_count")
-    return stats
+def usage_weights(variant: str, batch_size: int) -> tuple[int, int]:
+    """Negative uses one phrase occurrence adds in a batch of batch_size:
+    (per caption occurrence, per sampled hard-negative occurrence)."""
+    if variant not in RATIO_VARIANTS:
+        raise ValueError(f"unknown ratio variant {variant!r}")
+    b = batch_size
+    return b - 1, {"baseline": 0, "hn": b, "calibrated_hn": 1}[variant]
 
 
 def compute_ratio(stats: ConceptStats, variant: str, batch_size: int) -> float:
-    if variant not in RATIO_VARIANTS:
-        raise ValueError(f"unknown ratio variant {variant!r}")
+    per_caption, per_negative = usage_weights(variant, batch_size)
     s, g = stats.s_count, stats.g_count
     if s <= 0:
         raise RatioUndefined(f"ratio undefined for {stats.concept!r}: no caption occurrences")
-    b = batch_size
-    if variant == "baseline":
-        return float(b - 1)
-    if variant == "hn":
-        return ((b - 1) * s + b * g) / s
-    return ((b - 1) * s + g) / s
+    return (per_caption * s + per_negative * g) / s
 
 
 @dataclass
@@ -146,12 +141,8 @@ def calibrate_filter(manifest: DatasetManifest) -> tuple[DatasetManifest, Calibr
     idempotent. Phrase-free generations are kept vacuously. Paraphrase
     generations are out of scope and keep their flags.
     """
-    quotas = Counter()
-    for cap in manifest.captions_for_split("train"):
-        for ph in cap.verb_phrases:
-            quotas[ph.surface] += 1
-
     before = count_concepts(manifest, kept_only=True)
+    quotas = Counter({c: st.s_count for c, st in before.items()})
 
     candidates = manifest.negative_pools()
 
@@ -164,57 +155,42 @@ def calibrate_filter(manifest: DatasetManifest) -> tuple[DatasetManifest, Calibr
                          min(candidates[key])),
     )
 
-    pending = {key: sorted(candidates[key], key=lambda i: (
-        _candidate_sort_key(manifest.generations[i].text), i)) for key in parents}
+    pending = {key: iter(sorted(candidates[key], key=lambda i: (
+        _candidate_sort_key(manifest.generations[i].text), i))) for key in parents}
     decisions: dict[int, bool] = {}
-    while True:
-        kept_this_pass = 0
+    kept_any = True
+    # A pass that keeps nothing has scanned every queue to its end.
+    while kept_any:
+        kept_any = False
         for key in parents:
-            queue = pending[key]
-            while queue:
-                idx = queue.pop(0)
+            for idx in pending[key]:
                 need = Counter(ph.surface for ph in manifest.generations[idx].verb_phrases)
-                if all(quotas[ph] >= n for ph, n in need.items()):
+                decisions[idx] = all(quotas[ph] >= n for ph, n in need.items())
+                if decisions[idx]:
                     quotas.subtract(need)
-                    decisions[idx] = True
-                    kept_this_pass += 1
+                    kept_any = True
                     break
-                decisions[idx] = False
-        if kept_this_pass == 0:
-            break
-    for queue in pending.values():
-        for idx in queue:
-            decisions[idx] = False
 
     filtered = set_kept_flags(manifest, decisions)
     after = count_concepts(filtered, kept_only=True)
-
-    surfaces = sorted(set(before) | set(after))
+    # Filtering only clears flags, so after's concepts are among before's.
     concept_rows = [
-        ConceptRow(
-            concept=s,
-            s_count=before.get(s, after.get(s, ConceptStats(s))).s_count,
-            g_before=before.get(s, ConceptStats(s)).g_count,
-            g_after=after.get(s, ConceptStats(s)).g_count,
-        )
-        for s in surfaces
+        ConceptRow(concept=c, s_count=st.s_count, g_before=st.g_count,
+                   g_after=after[c].g_count if c in after else 0)
+        for c, st in sorted(before.items())
     ]
 
-    kept_total = sum(1 for v in decisions.values() if v)
-    hist = Counter()
-    per_video = Counter()
-    for gen in filtered.generations:
-        if gen.kind == "hard_negative" and gen.kept:
-            per_video[gen.parent_video_id] += 1
+    kept_total = sum(decisions.values())
+    per_video = Counter(manifest.generations[i].parent_video_id
+                        for i, keep in decisions.items() if keep)
     train_videos = {cap.video_id for cap in filtered.captions_for_split("train")}
-    for vid in train_videos:
-        hist[per_video.get(vid, 0)] += 1
+    hist = Counter(per_video[vid] for vid in train_videos)
 
     report = CalibrationReport(
         concepts=concept_rows,
-        candidates_before=sum(len(q) for q in candidates.values()),
+        candidates_before=len(decisions),
         kept=kept_total,
-        discarded=sum(len(q) for q in candidates.values()) - kept_total,
+        discarded=len(decisions) - kept_total,
         per_video_hist=dict(hist),
     )
     return filtered, report

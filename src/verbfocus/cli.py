@@ -37,7 +37,8 @@ from pathlib import Path
 from .calibration import calibrate_filter
 from .clients import (ClientError, CompletionClientConfig, GenerationClient,
                       HttpTransport, ReplayTransport)
-from .corpus import load_manifest, read_jsonl, save_manifest, write_atomic
+from .corpus import (GENERATION_BACKENDS, load_manifest, read_jsonl, save_manifest,
+                     write_atomic)
 from .encoders import EncoderConfig, manifest_vocab
 from .evaluation import (build_verb_split, eval_multiple_choice, eval_pair_ap,
                          eval_retrieval, eval_zero_shot,
@@ -47,7 +48,7 @@ from .evaluation import (build_verb_split, eval_multiple_choice, eval_pair_ap,
 from .experiments import (EXPERIMENT_NAMES, run_attraction_point,
                           run_ratio_law, run_shortcut)
 from .lexicon import LexiconResources
-from .losses import LossConfig
+from .losses import NCE_MODES, NEGATIVE_VARIANTS, LossConfig
 from .textgen import GenBackendConfig, TextGenError, generate_for_manifest
 from .trainer import (TrainConfig, TrainerError, TrainState, desk_config,
                       load_train_checkpoint, train_loop)
@@ -339,11 +340,9 @@ def cmd_train(cfg: dict) -> int:
     _write_json(out / "config.json", cfg)
     manifest = _resolve_train_input(cfg, out)
     tcfg = make_train_config(cfg)
-    if tcfg.loss.negative_variant in ("hn_uncalibrated", "calibrated_hn"):
-        if not any(g.kind == "hard_negative" and g.kept for g in manifest.generations):
-            raise ConfigError(
-                "no kept hard negatives in the training manifest; "
-                "run the gen and calibrate commands first")
+    if tcfg.loss.negative_variant != "none" and not manifest.negative_pools():
+        raise ConfigError("no kept hard negatives in the training manifest; "
+                          "run the gen and calibrate commands first")
     state = _resume_state(cfg["train"]["resume"], manifest, tcfg)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
@@ -494,13 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", help="output directory for all artifacts")
     common.add_argument("--seed", type=int, help="run seed")
-    common.add_argument("--backend", choices=("llm_completion", "t5_cloze",
-                                              "random_verb", "antonym_verb"),
-                        help="generation backend")
-    common.add_argument("--loss-variant", dest="loss_variant",
-                        choices=("none", "hn_uncalibrated", "calibrated_hn"))
-    common.add_argument("--nce-mode", dest="nce_mode",
-                        choices=("standard", "hardneg_nce"))
+    common.add_argument("--backend", choices=GENERATION_BACKENDS, help="generation backend")
+    common.add_argument("--loss-variant", dest="loss_variant", choices=NEGATIVE_VARIANTS)
+    common.add_argument("--nce-mode", dest="nce_mode", choices=NCE_MODES)
     common.add_argument("--n-hard", dest="n_hard", type=int,
                         help="max sampled hard negatives per item")
     common.add_argument("--epochs", type=int)

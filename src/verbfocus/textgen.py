@@ -22,7 +22,8 @@ from .clients import (
     HARD_NEGATIVE_DECODE,
     POSITIVE_DECODE,
 )
-from .corpus import CaptionRecord, DatasetManifest, GeneratedCaption, VerbPhrase
+from .corpus import (GENERATION_BACKENDS, CaptionRecord, DatasetManifest, GeneratedCaption,
+                     VerbPhrase)
 from .lexicon import LexiconResources
 from .prompts import HARD_NEGATIVE_PROMPT, POSITIVE_PROMPT, VERB_PHRASE_PROMPT, parse_phrase_list
 from .text import normalize_text, tokenize
@@ -31,7 +32,6 @@ log = logging.getLogger(__name__)
 
 MASK_TOKEN = "[MASK]"
 
-GEN_BACKENDS = ("llm_completion", "t5_cloze", "random_verb", "antonym_verb")
 EXTRACT_BACKENDS = ("llm_completion", "rule_tagger", "provided_labels")
 
 
@@ -53,7 +53,7 @@ class GenBackendConfig:
     include_exemplars: bool = True
 
     def __post_init__(self):
-        if self.backend not in GEN_BACKENDS:
+        if self.backend not in GENERATION_BACKENDS:
             raise ValueError(f"unknown generation backend {self.backend!r}")
         if self.candidates_per_caption < 1:
             raise ValueError("candidates_per_caption must be >= 1")
@@ -137,17 +137,14 @@ def postprocess(
     """Split one raw completion and filter it into hard-negative records."""
     resources = resources or LexiconResources.default()
     kept = filter_hard_negative_candidates(split_numbered(raw), parent, resources)
-    return [
-        GeneratedCaption(
-            parent_video_id=parent.video_id,
-            parent_caption=parent.text,
-            text=text,
-            kind="hard_negative",
-            backend=backend,
-            verb_phrases=phrases,
-        )
-        for text, phrases in kept
-    ]
+    return _hard_negatives(parent, backend, kept)
+
+
+def _hard_negatives(parent: CaptionRecord, backend: str,
+                    kept: list[tuple[str, tuple[VerbPhrase, ...]]]) -> list[GeneratedCaption]:
+    """Hard-negative records for the filtered (text, phrases) pairs of a parent."""
+    return [GeneratedCaption(parent.video_id, parent.text, text, "hard_negative", backend, phrases)
+            for text, phrases in kept]
 
 
 def _caption_rng(cfg: GenBackendConfig, caption: CaptionRecord) -> np.random.Generator:
@@ -248,18 +245,7 @@ def generate_hard_negatives(
     else:
         raw_candidates = _rule_rewrites(caption, cfg, resources)
     kept = filter_hard_negative_candidates(raw_candidates, caption, resources)
-    kept = kept[: cfg.candidates_per_caption]
-    return [
-        GeneratedCaption(
-            parent_video_id=caption.video_id,
-            parent_caption=caption.text,
-            text=text,
-            kind="hard_negative",
-            backend=cfg.backend,
-            verb_phrases=phrases,
-        )
-        for text, phrases in kept
-    ]
+    return _hard_negatives(caption, cfg.backend, kept[: cfg.candidates_per_caption])
 
 
 def generate_positives(
@@ -369,18 +355,8 @@ def t5_cloze_generate(
         _substitute(words, sites, [fills[m][k] for m in range(len(sites))])
         for k in range(n_cand)
     ]
-    kept = filter_hard_negative_candidates(candidates, caption, resources)
-    return [
-        GeneratedCaption(
-            parent_video_id=caption.video_id,
-            parent_caption=caption.text,
-            text=text,
-            kind="hard_negative",
-            backend="t5_cloze",
-            verb_phrases=phrases,
-        )
-        for text, phrases in kept
-    ]
+    return _hard_negatives(caption, "t5_cloze",
+                           filter_hard_negative_candidates(candidates, caption, resources))
 
 
 def generate_for_manifest(

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import VARIANT_FROM_LOSS
+from .calibration import VARIANT_FROM_LOSS, usage_weights
 from .corpus import DatasetManifest, write_atomic
 from .encoders import DualEncoders, EncoderConfig, EncoderError, EncoderGrads, TokenIds
 from .losses import BatchTensors, LossConfig, LossGrads, StackedRows, combined_vfc
@@ -279,33 +279,30 @@ def train_step(manifest, state: TrainState, cfg: TrainConfig,
 class UsageCounter:
     """Per-concept positive/negative usage tally under a loss variant.
 
-    For each batch, every phrase occurrence in a caption is one positive use
-    and B-1 negative uses (it sits in the other items' denominators). Every
-    occurrence in a sampled hard negative adds B negative uses under the
-    uncalibrated variant (all rows see it) and 1 under the calibrated one
-    (own row only). Ratios converge to the closed-form laws.
+    For each batch, every phrase occurrence in a caption is one positive use;
+    its negative uses, and those of every occurrence in a sampled hard
+    negative, are the weights calibration.usage_weights gives the variant, so
+    the ratios converge to the closed-form laws of compute_ratio.
     """
 
     def __init__(self, variant: str):
-        if variant not in VARIANT_FROM_LOSS.values():
-            variant = VARIANT_FROM_LOSS[variant]
-        self.variant = variant
+        self.variant = VARIANT_FROM_LOSS.get(variant, variant)
+        usage_weights(self.variant, 2)  # rejects an unknown variant by name
         self.pos = Counter()
         self.neg = Counter()
 
     def observe(self, manifest: DatasetManifest, record: BatchIndexRecord) -> None:
-        B = len(record.caption_indices)
+        per_caption, per_negative = usage_weights(self.variant, len(record.caption_indices))
         for ci in record.caption_indices:
             for ph in manifest.captions[ci].verb_phrases:
                 self.pos[ph.surface] += 1
-                self.neg[ph.surface] += B - 1
-        if self.variant == "baseline":
+                self.neg[ph.surface] += per_caption
+        if not per_negative:
             return
-        per_occurrence = B if self.variant == "hn" else 1
         for gidxs in record.hard_indices:
             for g in gidxs:
                 for ph in manifest.generations[g].verb_phrases:
-                    self.neg[ph.surface] += per_occurrence
+                    self.neg[ph.surface] += per_negative
 
     def ratios(self) -> dict[str, float]:
         return {c: self.neg[c] / n for c, n in self.pos.items() if n > 0}
@@ -349,8 +346,7 @@ def load_train_checkpoint(path) -> tuple[TrainState, TrainConfig]:
 
 def train_loop(manifest: DatasetManifest, cfg: TrainConfig,
                state: TrainState | None = None,
-               log_path=None, checkpoint_dir=None,
-               usage: UsageCounter | None = None) -> tuple[TrainState, list[dict]]:
+               log_path=None, checkpoint_dir=None) -> tuple[TrainState, list[dict]]:
     """Train from state.epoch to cfg.epochs; returns state and epoch metrics.
 
     Passing a state loaded from a checkpoint resumes bit-exactly, because
@@ -376,8 +372,6 @@ def train_loop(manifest: DatasetManifest, cfg: TrainConfig,
             sums = Counter()
             for record in plan.records:
                 out = train_step(compiled, state, cfg, record, grads)
-                if usage is not None:
-                    usage.observe(manifest, record)
                 for key, val in {"total": out.total, **out.terms}.items():
                     sums[key] += val
             n = max(len(plan.records), 1)

@@ -1,5 +1,8 @@
 """Concept counting, ratio laws, and the negative-balancing filter."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +14,7 @@ from verbfocus.calibration import (
     calibrate_filter,
     compute_ratio,
     count_concepts,
+    usage_weights,
 )
 from verbfocus.corpus import (
     CaptionRecord,
@@ -84,6 +88,14 @@ def test_variant_from_loss_covers_all_negative_variants():
         "hn_uncalibrated": "hn",
         "calibrated_hn": "calibrated_hn",
     }
+
+
+def test_usage_weights_per_variant():
+    assert usage_weights("baseline", 4) == (3, 0)
+    assert usage_weights("hn", 4) == (3, 4)
+    assert usage_weights("calibrated_hn", 4) == (3, 1)
+    with pytest.raises(ValueError, match="'annealed'"):
+        usage_weights("annealed", 4)
 
 
 @given(
@@ -215,3 +227,48 @@ def test_calibrate_filter_deterministic():
     flags_a = [g.kept for g in calibrate_filter(manifest)[0].generations]
     flags_b = [g.kept for g in calibrate_filter(manifest)[0].generations]
     assert flags_a == flags_b
+
+
+def repeated_phrase_manifest(running_captions: int):
+    """A negative that lists "running" twice competes with a single-phrase one.
+
+    The double negative sits under the first parent, so the round-robin scans
+    it first; it needs two units of running's quota.
+    """
+    texts = ["a cat sleeping", "a dog sleeping", "a fox running", "a cow running"]
+    texts = texts[:2 + running_captions]
+    videos = [VideoRecord(f"v{i}", "train") for i in range(len(texts))]
+    captions = [CaptionRecord(f"v{i}", t, (VerbPhrase(t.split()[-1]),))
+                for i, t in enumerate(texts)]
+    gens = [
+        GeneratedCaption("v0", texts[0], "a cat running and running", "hard_negative",
+                         "llm_completion", (VerbPhrase("running"), VerbPhrase("running"))),
+        GeneratedCaption("v1", texts[1], "a dog running", "hard_negative",
+                         "llm_completion", (VerbPhrase("running"),)),
+    ]
+    return DatasetManifest(videos, captions, gens)
+
+
+def test_calibrate_filter_charges_a_repeated_phrase_per_occurrence():
+    short, short_report = calibrate_filter(repeated_phrase_manifest(running_captions=1))
+    assert [g.kept for g in short.generations] == [False, True]
+    assert {r.concept: r.g_after for r in short_report.concepts}["running"] == 1
+
+    enough, report = calibrate_filter(repeated_phrase_manifest(running_captions=2))
+    # Kept at S=2, it uses both units, so the single-phrase negative has none left.
+    assert [g.kept for g in enough.generations] == [True, False]
+    rows = {r.concept: r for r in report.concepts}
+    assert (rows["running"].s_count, rows["running"].g_before, rows["running"].g_after) == (2, 3, 2)
+
+
+def test_calibrate_filter_pinned_digests():
+    """Kept flags and reports over random_manifest seeds 0-9, pinned bit for bit."""
+    flags, reports = [], []
+    for seed in range(10):
+        filtered, report = calibrate_filter(random_manifest(np.random.default_rng(seed)))
+        flags.append([g.kept for g in filtered.generations])
+        reports.append(report.to_dict())
+    assert hashlib.sha256(json.dumps(flags).encode()).hexdigest() == (
+        "544a6bc4c260adc07c9b77b438beae61b667f836a4b03b89f01cf74097cc51ac")
+    assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest() == (
+        "758931d119a3b1c7f1c5f389fa77cf5a6b4a1dcdb3fcac57d05f8a751e309289")

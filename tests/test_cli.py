@@ -1,11 +1,15 @@
 """End-to-end command flow: gen, calibrate, train, eval, report."""
 
+import argparse
 import json
 
 import pytest
 
-from verbfocus.cli import ConfigError, DEFAULTS, load_config, main, make_train_config
-from verbfocus.corpus import CaptionRecord, DatasetManifest, VerbPhrase, VideoRecord, save_manifest
+from verbfocus.cli import (ConfigError, DEFAULTS, build_parser, load_config, main,
+                           make_train_config)
+from verbfocus.corpus import (GENERATION_BACKENDS, CaptionRecord, DatasetManifest, VerbPhrase,
+                              VideoRecord, save_manifest)
+from verbfocus.losses import NCE_MODES, NEGATIVE_VARIANTS
 from verbfocus.evaluation import MultipleChoiceItem, save_mc_items
 from verbfocus.trainer import desk_config
 
@@ -57,6 +61,15 @@ def test_load_config_defaults_and_merge(tmp_path):
 
 def test_default_config_is_the_desk_preset():
     assert make_train_config(load_config(None)) == desk_config()
+
+
+def test_parser_choices_are_the_package_constants():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        choices = {a.dest: a.choices for a in parser._actions if a.choices is not None}
+        assert choices["backend"] == GENERATION_BACKENDS, command
+        assert choices["loss_variant"] == NEGATIVE_VARIANTS, command
+        assert choices["nce_mode"] == NCE_MODES, command
 
 
 def test_load_config_errors(tmp_path):
@@ -195,6 +208,16 @@ def test_train_baseline_variant_needs_no_generation(tmp_path, capsys):
     assert main(["train", "--config", str(cfg_path), "--loss-variant", "none"]) == 0
     assert (out / "checkpoints" / "checkpoint_final.bin").exists()
     capsys.readouterr()
+
+
+def test_train_negative_variants_need_kept_hard_negatives(tmp_path, capsys):
+    manifest_path = tmp_path / "manifest.jsonl"
+    write_corpus(manifest_path)
+    cfg_path = write_config(tmp_path / "cfg.json", manifest_path, tmp_path / "run",
+                            train={"input": str(manifest_path)})
+    for variant in ("hn_uncalibrated", "calibrated_hn"):
+        assert main(["train", "--config", str(cfg_path), "--loss-variant", variant]) == 1
+        assert "no kept hard negatives" in capsys.readouterr().err
 
 
 def test_flag_overrides_reach_the_artifacts(tmp_path, capsys):

@@ -370,6 +370,11 @@ def test_usage_counter_accepts_loss_variant_names():
     assert UsageCounter("calibrated_hn").variant == "calibrated_hn"
 
 
+def test_usage_counter_rejects_an_unknown_variant_by_name():
+    with pytest.raises(ValueError, match="'bogus'"):
+        UsageCounter("bogus")
+
+
 # -- pinned bits -------------------------------------------------------------
 
 def _trained_digests(variant: str) -> list[str]:
