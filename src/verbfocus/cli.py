@@ -2,9 +2,12 @@
 
 One JSON config file covers every stage; flags override the file, and the
 effective merged config is echoed into the output directory so any run can
-be reproduced from its artifacts alone. Each command writes only inside the
-output directory. Exit codes: 0 success, 1 validation error, 2 runtime
-failure.
+be reproduced from its artifacts alone. A flag is one row of _FLAGS, which
+names the config keys it sets; defaults and stage configs are read off the
+package dataclasses. train reads train.input, else manifest_calibrated.jsonl,
+else manifest_generated.jsonl (not under calibrated_hn), else `manifest`.
+Each command writes only inside the output directory. Exit codes: 0
+success, 1 validation error, 2 runtime failure.
 
 Pipeline artifacts inside the output directory:
 
@@ -31,7 +34,7 @@ import copy
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .calibration import calibrate_filter
@@ -39,7 +42,7 @@ from .clients import (ClientError, CompletionClientConfig, GenerationClient,
                       HttpTransport, ReplayTransport)
 from .corpus import (GENERATION_BACKENDS, load_manifest, read_jsonl, save_manifest,
                      write_atomic)
-from .encoders import EncoderConfig, manifest_vocab
+from .encoders import manifest_vocab
 from .evaluation import (build_verb_split, eval_multiple_choice, eval_pair_ap,
                          eval_retrieval, eval_zero_shot,
                          load_classification_task, load_mc_items,
@@ -48,7 +51,7 @@ from .evaluation import (build_verb_split, eval_multiple_choice, eval_pair_ap,
 from .experiments import (EXPERIMENT_NAMES, run_attraction_point,
                           run_ratio_law, run_shortcut)
 from .lexicon import LexiconResources
-from .losses import NCE_MODES, NEGATIVE_VARIANTS, LossConfig
+from .losses import NCE_MODES, NEGATIVE_VARIANTS
 from .textgen import GenBackendConfig, TextGenError, generate_for_manifest
 from .trainer import (TrainConfig, TrainerError, TrainState, desk_config,
                       load_train_checkpoint, train_loop)
@@ -62,31 +65,32 @@ def _fields(config, *skip: str) -> dict:
     return {k: v for k, v in asdict(config).items() if k not in skip}
 
 
+def _section(cls, section: dict, **extra):
+    """A cls from the keys of a config section that name its fields."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in section.items() if k in names}, **extra)
+
+
 _PRESET = desk_config()
 
 DEFAULTS = {
     "manifest": None,
     "out": "runs/default",
     "seed": 0,
+    # Read off the dataclasses so the two cannot drift: the generation
+    # backend and the HTTP client, then the desk preset. The seed lives at
+    # the top level; the encoder's init_scale stays None so it follows dim.
     "gen": {
-        "backend": "llm_completion",
+        **_fields(GenBackendConfig(), "seed", "decode"),
         "kinds": ["hard_negative"],
-        "candidates_per_caption": 10,
-        "top_k_fill": 50,
-        "include_exemplars": True,
         "extractor": "rule_tagger",
         "lexicon": "default",
         "transcript": None,
         "fill_transcript": None,
-        "endpoint": "",
-        "auth_env": "VERBFOCUS_API_TOKEN",
+        **asdict(CompletionClientConfig()),
         "cache_dir": None,
-        "timeout": 30.0,
         "max_retries": 3,
     },
-    # The desk preset, read off the dataclasses so the two cannot drift. The
-    # encoder's init_scale stays None so that it follows dim; the seed lives
-    # at the top level.
     "loss": asdict(_PRESET.loss),
     "encoder": {**_fields(_PRESET.encoder, "seed"), "init_scale": None},
     "train": {"input": None, "resume": None, **_fields(_PRESET, "seed", "loss", "encoder")},
@@ -101,30 +105,40 @@ DEFAULTS = {
         "subset_m": None,
         "subset_repeats": 3,
     },
-    "experiment": {
-        "name": "ratio_law",
-        "epochs": None,
-        "batch_size": None,
-    },
+    "experiment": {"name": "ratio_law", "epochs": None, "batch_size": None},
 }
 
 
-def _check_keys(data: dict, schema: dict, prefix: str = "") -> None:
+# (command taking it, or None for all; flag; the config keys it sets;
+# argparse options). A flag counts as given when its value is not None.
+_FLAGS = (
+    (None, "--out", ("out",), {"help": "output directory for all artifacts"}),
+    (None, "--seed", ("seed",), {"type": int, "help": "run seed"}),
+    (None, "--backend", ("gen.backend",),
+     {"choices": GENERATION_BACKENDS, "help": "generation backend"}),
+    (None, "--loss-variant", ("loss.negative_variant",), {"choices": NEGATIVE_VARIANTS}),
+    (None, "--nce-mode", ("loss.nce_mode",), {"choices": NCE_MODES}),
+    (None, "--n-hard", ("train.n_hard_max",),
+     {"type": int, "help": "max sampled hard negatives per item"}),
+    (None, "--epochs", ("train.epochs", "experiment.epochs"), {"type": int}),
+    (None, "--no-exemplars", ("gen.include_exemplars",),
+     {"action": "store_const", "const": False, "help": "render prompts without in-context exemplars"}),
+    (None, "--freeze-video", ("encoder.freeze_video",), {"action": "store_const", "const": True}),
+    (None, "--freeze-text", ("encoder.freeze_text",), {"action": "store_const", "const": True}),
+    ("train", "--resume", ("train.resume",), {
+        "metavar": "CHECKPOINT", "help": "continue from a training checkpoint of this run"}),
+    ("experiment", "name", ("experiment.name",), {"choices": EXPERIMENT_NAMES}),
+)
+
+
+def _check_keys(data: dict, schema: dict, path: str, prefix: str = "") -> None:
     for key, value in data.items():
         if key not in schema:
             raise ConfigError(f"unknown config key: {prefix}{key}")
-        if isinstance(schema[key], dict) and isinstance(value, dict):
-            _check_keys(value, schema[key], f"{prefix}{key}.")
-
-
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out
+        if isinstance(schema[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path}: config key {prefix}{key} must be an object")
+            _check_keys(value, schema[key], path, f"{prefix}{key}.")
 
 
 def load_config(path: str | None) -> dict:
@@ -139,45 +153,32 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    _check_keys(data, DEFAULTS)
-    return _deep_merge(DEFAULTS, data)
+    _check_keys(data, DEFAULTS, path)
+    cfg = copy.deepcopy(DEFAULTS)
+    for key, value in data.items():
+        if isinstance(cfg[key], dict):
+            cfg[key].update(value)
+        else:
+            cfg[key] = value
+    return cfg
 
 
 def apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
-    if args.out is not None:
-        cfg["out"] = args.out
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.backend is not None:
-        cfg["gen"]["backend"] = args.backend
-    if args.loss_variant is not None:
-        cfg["loss"]["negative_variant"] = args.loss_variant
-    if args.nce_mode is not None:
-        cfg["loss"]["nce_mode"] = args.nce_mode
-    if args.n_hard is not None:
-        cfg["train"]["n_hard_max"] = args.n_hard
-    if args.epochs is not None:
-        cfg["train"]["epochs"] = args.epochs
-        cfg["experiment"]["epochs"] = args.epochs
-    if args.no_exemplars:
-        cfg["gen"]["include_exemplars"] = False
-    if args.freeze_video:
-        cfg["encoder"]["freeze_video"] = True
-    if args.freeze_text:
-        cfg["encoder"]["freeze_text"] = True
-    if getattr(args, "resume", None) is not None:
-        cfg["train"]["resume"] = args.resume
+    """Set every config key of each flag given on the command line."""
+    for _, flag, keys, _ in _FLAGS:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
+        if value is not None:
+            for key in keys:
+                section, _, leaf = key.rpartition(".")
+                (cfg[section] if section else cfg)[leaf] = value
     return cfg
 
 
 def make_train_config(cfg: dict) -> TrainConfig:
+    train = {k: v for k, v in cfg["train"].items() if k not in ("input", "resume")}
     try:
-        loss = LossConfig(**cfg["loss"])
-        encoder = EncoderConfig(seed=cfg["seed"], **cfg["encoder"])
-        t = dict(cfg["train"])
-        t.pop("input", None)
-        t.pop("resume", None)
-        return TrainConfig(seed=cfg["seed"], loss=loss, encoder=encoder, **t)
+        return TrainConfig.from_dict({**train, "seed": cfg["seed"], "loss": cfg["loss"],
+                                      "encoder": {**cfg["encoder"], "seed": cfg["seed"]}})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -222,8 +223,7 @@ def _build_client(cfg: dict) -> GenerationClient | None:
     if gen[transcript]:
         transport = ReplayTransport.from_file(gen[transcript])
     elif gen["endpoint"]:
-        transport = HttpTransport(CompletionClientConfig(
-            endpoint=gen["endpoint"], auth_env=gen["auth_env"], timeout=gen["timeout"]))
+        transport = HttpTransport(_section(CompletionClientConfig, gen))
     else:
         raise ConfigError(f"{needs} needs gen.{transcript} or gen.endpoint")
     return GenerationClient(transport, gen["max_retries"], gen["cache_dir"])
@@ -236,16 +236,9 @@ def cmd_gen(cfg: dict) -> int:
     gen = cfg["gen"]
     resources = _build_resources(cfg, manifest)
     client = _build_client(cfg)
-    gcfg = GenBackendConfig(
-        backend=gen["backend"],
-        candidates_per_caption=gen["candidates_per_caption"],
-        top_k_fill=gen["top_k_fill"],
-        seed=cfg["seed"],
-        include_exemplars=gen["include_exemplars"],
-    )
     before = len(manifest.generations)
     result = generate_for_manifest(
-        manifest, gcfg, resources, client,
+        manifest, _section(GenBackendConfig, gen, seed=cfg["seed"]), resources, client,
         kinds=tuple(gen["kinds"]), extractor=gen["extractor"])
     save_manifest(result, out / "manifest_generated.jsonl")
     counts = dict(Counter(g.kind for g in result.generations[before:]))
@@ -286,29 +279,20 @@ def cmd_calibrate(cfg: dict) -> int:
 
 
 def _resolve_train_input(cfg: dict, out: Path):
+    """train.input, else out's calibrated manifest, else out's generated one
+    (not under calibrated_hn), else the configured manifest."""
     explicit = cfg["train"]["input"]
     if explicit:
         if not Path(explicit).exists():
             raise ConfigError(f"train.input not found: {explicit}")
         return load_manifest(explicit)
-    variant = cfg["loss"]["negative_variant"]
-    cal_path = out / "manifest_calibrated.jsonl"
-    gen_path = out / "manifest_generated.jsonl"
-    if variant == "calibrated_hn":
-        if cal_path.exists():
-            return load_manifest(cal_path)
-        if gen_path.exists():
-            raise ConfigError(
-                f"{cal_path} not found; run the calibrate command first")
-    if variant == "hn_uncalibrated":
-        for p in (cal_path, gen_path):
-            if p.exists():
-                return load_manifest(p)
-        raise ConfigError(
-            f"{gen_path} not found; run the gen command first")
-    for p in (cal_path, gen_path):
-        if p.exists():
-            return load_manifest(p)
+    cal_path, gen_path = out / "manifest_calibrated.jsonl", out / "manifest_generated.jsonl"
+    if cal_path.exists():
+        return load_manifest(cal_path)
+    if gen_path.exists():
+        if cfg["loss"]["negative_variant"] == "calibrated_hn":
+            raise ConfigError(f"{cal_path} not found; run the calibrate command first")
+        return load_manifest(gen_path)
     return _require_manifest(cfg)
 
 
@@ -465,9 +449,8 @@ _EXPERIMENTS = {
 }
 
 
-def cmd_experiment(cfg: dict, name: str) -> int:
-    if name not in _EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}")
+def cmd_experiment(cfg: dict) -> int:
+    name = cfg["experiment"]["name"]
     run, subdirs, show = _EXPERIMENTS[name]
     out = _out_dir(cfg)
     _write_json(out / "config.json", cfg)
@@ -475,7 +458,7 @@ def cmd_experiment(cfg: dict, name: str) -> int:
     exp_dir.mkdir(exist_ok=True)
     kwargs = {"seed": cfg["seed"]}
     for key in ("epochs", "batch_size"):
-        if cfg["experiment"][key]:
+        if cfg["experiment"][key] is not None:
             kwargs[key] = cfg["experiment"][key]
     if subdirs:
         for d in subdirs:
@@ -488,51 +471,37 @@ def cmd_experiment(cfg: dict, name: str) -> int:
     return 0
 
 
+# name -> (handler, help)
+_COMMANDS = {
+    "gen": (cmd_gen, "generate captions and phrases"),
+    "calibrate": (cmd_calibrate, "filter generated negatives"),
+    "train": (cmd_train, "train the dual encoders"),
+    "eval": (cmd_eval, "evaluate a checkpoint"),
+    "report": (cmd_report, "merge run artifacts"),
+    "experiment": (cmd_experiment, "run a packaged seeded experiment"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--out", help="output directory for all artifacts")
-    common.add_argument("--seed", type=int, help="run seed")
-    common.add_argument("--backend", choices=GENERATION_BACKENDS, help="generation backend")
-    common.add_argument("--loss-variant", dest="loss_variant", choices=NEGATIVE_VARIANTS)
-    common.add_argument("--nce-mode", dest="nce_mode", choices=NCE_MODES)
-    common.add_argument("--n-hard", dest="n_hard", type=int,
-                        help="max sampled hard negatives per item")
-    common.add_argument("--epochs", type=int)
-    common.add_argument("--no-exemplars", dest="no_exemplars", action="store_true",
-                        help="render prompts without in-context exemplars")
-    common.add_argument("--freeze-video", dest="freeze_video", action="store_true")
-    common.add_argument("--freeze-text", dest="freeze_text", action="store_true")
-
     parser = argparse.ArgumentParser(
         prog="verbfocus",
         description="verb-focused contrastive training pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("gen", parents=[common], help="generate captions and phrases")
-    sub.add_parser("calibrate", parents=[common], help="filter generated negatives")
-    ptrain = sub.add_parser("train", parents=[common], help="train the dual encoders")
-    ptrain.add_argument("--resume", metavar="CHECKPOINT",
-                        help="continue from a training checkpoint of this run")
-    sub.add_parser("eval", parents=[common], help="evaluate a checkpoint")
-    sub.add_parser("report", parents=[common], help="merge run artifacts")
-    pexp = sub.add_parser("experiment", parents=[common],
-                          help="run a packaged seeded experiment")
-    pexp.add_argument("name", choices=EXPERIMENT_NAMES)
+    subs = {name: sub.add_parser(name, parents=[common], help=help)
+            for name, (_, help) in _COMMANDS.items()}
+    for command, flag, _, options in _FLAGS:
+        for name in [command] if command else subs:
+            subs[name].add_argument(flag, **options)
     return parser
-
-
-_COMMANDS = {"gen": cmd_gen, "calibrate": cmd_calibrate, "train": cmd_train,
-             "eval": cmd_eval, "report": cmd_report}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = apply_flags(load_config(args.config), args)
-        if args.command == "experiment":
-            return cmd_experiment(cfg, args.name)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](apply_flags(load_config(args.config), args))
     except ValueError as exc:  # ConfigError, CorpusError, EvalError, bad transcripts
         print(f"error: {exc}", file=sys.stderr)
         return 1

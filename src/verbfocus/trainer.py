@@ -30,7 +30,7 @@ import itertools
 import json
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,10 +74,19 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """The inverse of asdict; an unknown key raises ValueError naming it."""
         d = dict(d)
-        loss = LossConfig(**d.pop("loss", {}))
-        encoder = EncoderConfig(**d.pop("encoder", {}))
-        return cls(loss=loss, encoder=encoder, **d)
+        loss = _decode(LossConfig, d.pop("loss", {}), "loss.")
+        encoder = _decode(EncoderConfig, d.pop("encoder", {}), "encoder.")
+        return _decode(cls, {**d, "loss": loss, "encoder": encoder})
+
+
+def _decode(cls, d: dict, prefix: str = ""):
+    known = {f.name for f in fields(cls)}
+    for key in d:
+        if key not in known:
+            raise ValueError(f"unknown train config key: {prefix}{key}")
+    return cls(**d)
 
 
 def desk_config(**overrides) -> TrainConfig:
@@ -329,6 +338,9 @@ def save_train_checkpoint(path, state: TrainState, cfg: TrainConfig) -> None:
 
 
 def load_train_checkpoint(path) -> tuple[TrainState, TrainConfig]:
+    """A malformed checkpoint raises TrainerError, or EncoderError for a bad
+    encoder payload, with the file's name in front."""
+    name = Path(path).name
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
@@ -337,10 +349,16 @@ def load_train_checkpoint(path) -> tuple[TrainState, TrainConfig]:
             if header.get("version") != TRAIN_CHECKPOINT_VERSION:
                 raise TrainerError(f"unsupported checkpoint version {header.get('version')!r}")
             encoders = DualEncoders.load_from(fh)
+            cfg = TrainConfig.from_dict(header["train_config"])
+            state = TrainState(encoders=encoders, epoch=header["epoch"], step=header["step"])
         except (EncoderError, TrainerError) as e:
-            raise type(e)(f"{Path(path).name}: {e}") from None
-    cfg = TrainConfig.from_dict(header["train_config"])
-    state = TrainState(encoders=encoders, epoch=header["epoch"], step=header["step"])
+            raise type(e)(f"{name}: {e}") from None
+        except KeyError as e:
+            raise TrainerError(f"{name}: header has no {e} field") from None
+        except json.JSONDecodeError as e:
+            raise TrainerError(f"{name}: header line is not JSON: {e}") from None
+        except (AttributeError, TypeError, ValueError) as e:  # e.g. a header not an object
+            raise TrainerError(f"{name}: {e}") from None
     return state, cfg
 
 

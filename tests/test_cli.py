@@ -1,14 +1,15 @@
 """End-to-end command flow: gen, calibrate, train, eval, report."""
 
 import argparse
+import hashlib
 import json
 
 import pytest
 
-from verbfocus.cli import (ConfigError, DEFAULTS, build_parser, load_config, main,
+from verbfocus.cli import (_FLAGS, ConfigError, DEFAULTS, build_parser, load_config, main,
                            make_train_config)
-from verbfocus.corpus import (GENERATION_BACKENDS, CaptionRecord, DatasetManifest, VerbPhrase,
-                              VideoRecord, save_manifest)
+from verbfocus.corpus import (GENERATION_BACKENDS, CaptionRecord, DatasetManifest,
+                              GeneratedCaption, VerbPhrase, VideoRecord, save_manifest)
 from verbfocus.losses import NCE_MODES, NEGATIVE_VARIANTS
 from verbfocus.evaluation import MultipleChoiceItem, save_mc_items
 from verbfocus.trainer import desk_config
@@ -28,6 +29,19 @@ def write_corpus(path):
     captions = [CaptionRecord(vid, text, (VerbPhrase(verb),)) for vid, text, verb in texts]
     captions.append(CaptionRecord("v6", "a person reading at home", (VerbPhrase("reading"),)))
     manifest = DatasetManifest(videos, captions, [])
+    save_manifest(manifest, path)
+    return manifest
+
+
+def write_corpus_with_negatives(path):
+    """write_corpus plus one kept verb-swapped hard negative per train caption."""
+    manifest = write_corpus(path)
+    train = [c for c in manifest.captions if c.video_id != "v6"]
+    for cap, other in zip(train, train[1:] + train[:1]):
+        verb, swap = cap.verb_phrases[0].surface, other.verb_phrases[0].surface
+        manifest.generations.append(GeneratedCaption(
+            cap.video_id, cap.text, cap.text.replace(verb, swap), "hard_negative",
+            "random_verb", (VerbPhrase(swap),)))
     save_manifest(manifest, path)
     return manifest
 
@@ -57,6 +71,24 @@ def test_load_config_defaults_and_merge(tmp_path):
     assert cfg["seed"] == 5
     assert cfg["train"]["epochs"] == 7
     assert cfg["train"]["batch_size"] == DEFAULTS["train"]["batch_size"]
+
+
+def test_default_config_is_pinned():
+    """The defaults as they were written out by hand, before they were read
+    off the dataclasses."""
+    blob = json.dumps(load_config(None), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == \
+        "bea43650d6c045d2606ca8d7027d10d111b937599a1ab8d12dd3b808d2fdd0a5"
+
+
+@pytest.mark.parametrize("section", [k for k, v in DEFAULTS.items() if isinstance(v, dict)])
+def test_config_section_that_is_not_an_object_names_the_file(tmp_path, capsys, section):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({section: 5}))
+    with pytest.raises(ConfigError, match=f"c.json: config key {section} must be an object$"):
+        load_config(str(p))
+    assert main(["train", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: {p}: config key {section} must be an object\n"
 
 
 def test_default_config_is_the_desk_preset():
@@ -399,3 +431,70 @@ def test_train_resume_rejects_a_checkpoint_of_another_manifest(tmp_path, capsys)
         assert f"other.bin: {error} the training manifest" in capsys.readouterr().err
     assert main(["train", "--config", str(cfg_path), "--loss-variant", "none",
                  "--resume", str(tmp_path / "missing.bin")]) == 1
+
+
+def test_hn_uncalibrated_trains_on_the_configured_manifest(tmp_path, capsys):
+    """With no artifact in --out, every variant trains on `manifest`."""
+    manifest_path = tmp_path / "manifest.jsonl"
+    assert write_corpus_with_negatives(manifest_path).negative_pools()
+    cfg_path = write_config(tmp_path / "cfg.json", manifest_path, tmp_path / "unused")
+    for variant in NEGATIVE_VARIANTS:
+        out = tmp_path / f"run_{variant}"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out),
+                     "--loss-variant", variant]) == 0, capsys.readouterr().err
+        assert (out / "checkpoints" / "checkpoint_final.bin").exists()
+    capsys.readouterr()
+
+
+def test_experiment_runs_the_named_study_for_the_given_epochs(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["experiment", "attraction_point", "--epochs", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    echoed = json.loads((out / "config.json").read_text())
+    assert echoed["experiment"] == {"name": "attraction_point", "epochs": 0, "batch_size": None}
+    for run in ("uncalibrated", "calibrated"):
+        ckpt = out / "experiment_attraction_point" / run / "checkpoint_final.bin"
+        assert json.loads(ckpt.read_bytes().split(b"\n", 1)[0])["epoch"] == 0
+
+
+# Per common flag: its arguments, with "{out}" standing for the run's output
+# directory, and the value config.json must then hold under each of its keys.
+FLAG_CASES = {
+    "--out": (["{out}"], "{out}"),
+    "--seed": (["3"], 3),
+    "--backend": (["antonym_verb"], "antonym_verb"),
+    "--loss-variant": (["none"], "none"),
+    "--nce-mode": (["hardneg_nce"], "hardneg_nce"),
+    "--n-hard": (["2"], 2),
+    "--epochs": (["2"], 2),
+    "--no-exemplars": ([], False),
+    "--freeze-video": ([], True),
+    "--freeze-text": ([], True),
+}
+COMMON_FLAGS = {flag: keys for command, flag, keys, _ in _FLAGS if command is None}
+
+
+def test_every_common_flag_has_a_case():
+    assert list(COMMON_FLAGS) == list(FLAG_CASES)
+
+
+@pytest.mark.parametrize("flag", list(COMMON_FLAGS))
+def test_common_flag_reaches_config_json_under_every_key(tmp_path, capsys, flag):
+    manifest_path = tmp_path / "manifest.jsonl"
+    write_corpus_with_negatives(manifest_path)
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "cfg.json", manifest_path, tmp_path / "from_file")
+    from_file = load_config(str(cfg_path))
+    args, expected = FLAG_CASES[flag]
+    argv = [flag, *(a.format(out=out) for a in args)]
+    if flag != "--out":
+        argv += ["--out", str(out)]
+    if isinstance(expected, str):
+        expected = expected.format(out=out)
+    assert main(["train", "--config", str(cfg_path), *argv]) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    echoed = json.loads((out / "config.json").read_text())
+    for key in COMMON_FLAGS[flag]:
+        section, _, leaf = key.rpartition(".")
+        assert (echoed[section] if section else echoed)[leaf] == expected, key
+        assert (from_file[section] if section else from_file)[leaf] != expected, key

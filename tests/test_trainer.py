@@ -314,6 +314,39 @@ def test_truncated_checkpoint_names_the_file(tmp_path, cut):
         load_train_checkpoint(path)
 
 
+def test_train_config_from_dict_names_an_unknown_key():
+    d = asdict(tiny_cfg())
+    for broken, key in (({**d, "bogus": 1}, "bogus"),
+                        ({**d, "loss": {**d["loss"], "sigmaa": 1.0}}, "loss.sigmaa"),
+                        ({**d, "encoder": {**d["encoder"], "depth": 2}}, "encoder.depth")):
+        with pytest.raises(ValueError, match=f"unknown train config key: {key}$"):
+            TrainConfig.from_dict(broken)
+
+
+def _line(obj) -> bytes:
+    return json.dumps(obj).encode() + b"\n"
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda h, p: _line({k: v for k, v in h.items() if k != "train_config"}) + p,
+     "header has no 'train_config' field"),
+    (lambda h, p: _line({**h, "train_config": {**h["train_config"], "bogus": 1}}) + p,
+     "unknown train config key: bogus"),
+    (lambda h, p: _line(h), "header line is not JSON"),
+    (lambda h, p: _line(h) + _line([1]), "'list' object has no attribute 'get'"),
+], ids=["no_train_config", "unknown_key", "no_encoder_payload", "encoder_header_not_an_object"])
+def test_malformed_checkpoint_header_names_the_file(tmp_path, corrupt, message):
+    manifest = crossed_manifest(n_contexts=2, verbs=2, cell=1)
+    cfg = tiny_cfg(batch_size=4, epochs=1)
+    state, _ = train_loop(manifest, cfg)
+    path = tmp_path / "ckpt.bin"
+    save_train_checkpoint(path, state, cfg)
+    line, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(corrupt(json.loads(line), payload))
+    with pytest.raises(TrainerError, match=rf"^ckpt\.bin: {message}"):
+        load_train_checkpoint(path)
+
+
 def test_periodic_checkpoints(tmp_path):
     manifest = crossed_manifest(n_contexts=2, verbs=2, cell=1)
     cfg = tiny_cfg(batch_size=4, epochs=5, checkpoint_every=2)
