@@ -357,7 +357,7 @@ def cmd_eval(cfg: dict) -> int:
         report["multiple_choice"] = eval_multiple_choice(enc, items).to_dict()
     if ev["retrieval_pairs"]:
         pairs = load_retrieval_pairs(ev["retrieval_pairs"])
-        report["retrieval"] = eval_retrieval(enc, pairs, ks=tuple(ev["ks"]))
+        report["retrieval"] = eval_retrieval(enc, pairs, ks=ev["ks"])
     if ev["classification"]:
         task = load_classification_task(ev["classification"])
         zs = eval_zero_shot(enc, task)
@@ -466,7 +466,7 @@ def cmd_experiment(cfg: dict) -> int:
         kwargs["checkpoint_dirs"] = tuple(str(exp_dir / d) for d in subdirs)
     result = run(**kwargs)
     show(result)
-    _write_json(exp_dir / "result.json", result.to_dict())
+    _write_json(exp_dir / "result.json", asdict(result))
     print(f"wrote {exp_dir / 'result.json'}")
     return 0
 

@@ -40,7 +40,27 @@ CHECKPOINT_VERSION = 1
 
 
 class EncoderError(ValueError):
-    pass
+    """A bad encoder config or a malformed checkpoint file."""
+
+
+def _read_header(fh: io.BufferedIOBase, kind: str, fmt: str, version: int,
+                 keys: tuple[str, ...]) -> dict:
+    """A checkpoint's first line: a JSON object of this format and version
+    that holds every one of keys."""
+    try:
+        header = json.loads(fh.readline().decode("utf-8"))
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise EncoderError(f"header line is not JSON: {e}") from None
+    if not isinstance(header, dict):
+        raise EncoderError("header line is not a JSON object")
+    if header.get("format") != fmt:
+        raise EncoderError(f"not {kind} checkpoint: format {header.get('format')!r}")
+    if header.get("version") != version:
+        raise EncoderError(f"unsupported checkpoint version {header.get('version')!r}")
+    for key in keys:
+        if key not in header:
+            raise EncoderError(f"header has no {key!r} field")
+    return header
 
 
 @dataclass(frozen=True)
@@ -313,11 +333,8 @@ class DualEncoders:
 
     @classmethod
     def load_from(cls, fh: io.BufferedIOBase) -> "DualEncoders":
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise EncoderError(f"not an encoder checkpoint: format {header.get('format')!r}")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise EncoderError(f"unsupported checkpoint version {header.get('version')!r}")
+        header = _read_header(fh, "an encoder", CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+                              ("config", "video_ids", "vocab", "video_shape", "token_shape"))
         config = EncoderConfig(**header["config"])
         vshape = tuple(header["video_shape"])
         tshape = tuple(header["token_shape"])
@@ -336,5 +353,5 @@ class DualEncoders:
         with open(path, "rb") as fh:
             try:
                 return cls.load_from(fh)
-            except EncoderError as e:
+            except (TypeError, ValueError) as e:  # EncoderError, or a bad config or shape
                 raise EncoderError(f"{Path(path).name}: {e}") from None

@@ -133,13 +133,17 @@ def _ranks(sims: np.ndarray) -> np.ndarray:
 
 def eval_retrieval(encoders: DualEncoders, pairs, ks=(1, 5, 10)) -> dict:
     """Recall at k in both directions over matched (video_id, text) pairs."""
+    if not (isinstance(ks, (list, tuple))
+            and all(isinstance(k, int) and not isinstance(k, bool) and k > 0 for k in ks)):
+        raise EvalError(f"ks must be a list of positive integers, got {ks!r}")
     pairs = list(pairs)
     if not pairs:
         raise EvalError("no retrieval pairs")
     videos = encoders.encode_videos([p[0] for p in pairs])
     texts = encoders.encode_texts([p[1] for p in pairs])
-    t2v = _ranks(texts @ videos.T)
-    v2t = _ranks(videos @ texts.T)
+    sims = texts @ videos.T
+    t2v = _ranks(sims)
+    v2t = _ranks(sims.T)
     return {
         "t2v": {f"R@{k}": float(np.mean(t2v <= k)) for k in ks},
         "v2t": {f"R@{k}": float(np.mean(v2t <= k)) for k in ks},
@@ -295,8 +299,10 @@ def subset_resample_protocol(encoders: DualEncoders, task: ClassificationTask,
                              m: int, repeats: int, seed: int) -> dict:
     """Average zero-shot metrics over seeded random class subsets of size m."""
     C = len(task.labels)
-    if not 1 <= m <= C:
-        raise EvalError(f"subset size {m} out of range for {C} classes")
+    if not (isinstance(m, int) and 1 <= m <= C):
+        raise EvalError(f"subset size must be an integer from 1 to {C}, got {m!r}")
+    if not (isinstance(repeats, int) and repeats >= 1):
+        raise EvalError(f"subset repeats must be a positive integer, got {repeats!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     sums = {"top1": 0.0, "top5": 0.0, "average": 0.0}
     for _ in range(repeats):

@@ -38,7 +38,7 @@ EXPERIMENT_NAMES = ("ratio_law", "attraction_point", "shortcut")
 
 
 def _caption_cells(manifest: DatasetManifest):
-    """Map (context, phrase surface) -> list of caption records, via last token."""
+    """Map each phrase surface to its train captions, in manifest order."""
     cells: dict[str, list] = {}
     for cap in manifest.captions_for_split("train"):
         if not cap.verb_phrases:
@@ -62,22 +62,32 @@ def _swap_negative(cap, phrase: str) -> GeneratedCaption:
     )
 
 
+def _swap_manifest(seed: int, n_contexts: int, verbs: int, cell: int,
+                   targets) -> DatasetManifest:
+    """The synthetic corpus plus swapped negatives: each train caption of
+    verb k gets one per entry of targets(k), that sibling verb of its own
+    context swapped in.  Generations run context, verb, caption, target."""
+    spec = SynthSpec(n_contexts=n_contexts, verbs_per_context=verbs,
+                     captions_per_cell=cell, seed=seed)
+    manifest = make_synthetic_corpus(spec)
+    cells = _caption_cells(manifest)
+    generations = tuple(_swap_negative(cap, synth_verb_phrase(c, k2))
+                        for c in range(n_contexts) for k in range(verbs)
+                        for cap in cells[synth_verb_phrase(c, k)] for k2 in targets(k))
+    manifest = DatasetManifest(videos=manifest.videos, captions=manifest.captions,
+                               generations=generations)
+    manifest.validate()
+    return manifest
+
+
 # -- ratio law -----------------------------------------------------------
 
 @dataclass
 class RatioLawResult:
     batch_size: int
     epochs: int
-    per_variant: dict[str, dict[str, dict]]
     max_rel_err: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "max_rel_err": self.max_rel_err,
-            "per_variant": self.per_variant,
-        }
+    per_variant: dict[str, dict[str, dict]]
 
 
 def build_ratio_law_manifest(seed: int = 0, n_contexts: int = 25,
@@ -152,42 +162,14 @@ class AttractionPointResult:
     group_macro_uncalibrated: float
     group_macro_calibrated: float
 
-    def to_dict(self) -> dict:
-        return {
-            "magnet_label": self.magnet_label,
-            "prevalence": self.prevalence,
-            "shares_uncalibrated": self.shares_uncalibrated,
-            "shares_calibrated": self.shares_calibrated,
-            "magnet_share_ratio_uncalibrated": self.magnet_share_ratio_uncalibrated,
-            "max_share_ratio_calibrated": self.max_share_ratio_calibrated,
-            "group_labels": self.group_labels,
-            "group_macro_uncalibrated": self.group_macro_uncalibrated,
-            "group_macro_calibrated": self.group_macro_calibrated,
-        }
-
 
 def build_attraction_manifest(seed: int = 0, n_contexts: int = 10, verbs: int = 2,
                               cell: int = 1, copies: int = 8) -> DatasetManifest:
     """Skewed-generation corpus: verb 0 of every context never occurs in a
     generated negative, every other concept occurs `copies` times per
     eligible parent.  The starved concepts are candidate attraction points."""
-    spec = SynthSpec(n_contexts=n_contexts, verbs_per_context=verbs,
-                     captions_per_cell=cell, seed=seed)
-    manifest = make_synthetic_corpus(spec)
-    generations = []
-    cells = _caption_cells(manifest)
-    for c in range(n_contexts):
-        for k in range(verbs):
-            for cap in cells[synth_verb_phrase(c, k)]:
-                for k2 in range(verbs):
-                    if k2 == k or k2 == 0:
-                        continue
-                    for _ in range(copies):
-                        generations.append(_swap_negative(cap, synth_verb_phrase(c, k2)))
-    manifest = DatasetManifest(videos=manifest.videos, captions=manifest.captions,
-                               generations=tuple(generations))
-    manifest.validate()
-    return manifest
+    return _swap_manifest(seed, n_contexts, verbs, cell, lambda k: [
+        k2 for k2 in range(1, verbs) if k2 != k for _ in range(copies)])
 
 
 def _zero_shot_task(manifest: DatasetManifest) -> ClassificationTask:
@@ -201,12 +183,6 @@ def _zero_shot_task(manifest: DatasetManifest) -> ClassificationTask:
             labels.append(cap.text)
         items.append((cap.video_id, index[cap.text]))
     return ClassificationTask(labels=tuple(labels), items=tuple(items))
-
-
-def _train_on(manifest: DatasetManifest, cfg: TrainConfig,
-              checkpoint_dir=None) -> TrainState:
-    state, _ = train_loop(manifest, cfg, checkpoint_dir=checkpoint_dir)
-    return state
 
 
 def run_attraction_point(seed: int = 0, epochs: int = 45,
@@ -229,7 +205,7 @@ def run_attraction_point(seed: int = 0, epochs: int = 45,
                           loss=LossConfig(sigma=0.2, negative_variant=variant,
                                           lambda1=1.0, lambda2=2.0, lambda3=0.0),
                           encoder=EncoderConfig(seed=seed, freeze_video=True))
-        state = _train_on(train_manifest, cfg, checkpoint_dir=ckpt)
+        state, _ = train_loop(train_manifest, cfg, checkpoint_dir=ckpt)
         return eval_zero_shot(state.encoders, task)
 
     ck_un, ck_cal = (checkpoint_dirs or (None, None))
@@ -237,17 +213,9 @@ def run_attraction_point(seed: int = 0, epochs: int = 45,
     calibrated_manifest, _report = calibrate_filter(manifest)
     cal = run("calibrated_hn", calibrated_manifest, ck_cal)
 
-    total = len(task.items)
-    prevalence = {}
-    for lab_idx, lab in enumerate(task.labels):
-        prevalence[lab] = sum(1 for _, c in task.items if c == lab_idx) / total
-
-    def shares(report) -> dict[str, float]:
-        return {task.labels[g]: float(report.prediction_shares[l])
-                for l, g in enumerate(report.class_indices)}
-
-    sh_un = shares(uncal)
-    sh_cal = shares(cal)
+    prevalence = dict(zip(task.labels, (uncal.class_counts / len(task.items)).tolist()))
+    sh_un = dict(zip(task.labels, uncal.prediction_shares.tolist()))
+    sh_cal = dict(zip(task.labels, cal.prediction_shares.tolist()))
     starved = [lab for lab in task.labels if lab.split()[-1].endswith("x00")]
     magnet_label = max(starved, key=lambda lab: sh_un[lab] / prevalence[lab])
     magnet_idx = task.labels.index(magnet_label)
@@ -285,35 +253,13 @@ class ShortcutResult:
     baseline_hard_pick_rate: float
     vfc_hard_pick_rate: float
 
-    def to_dict(self) -> dict:
-        return {
-            "baseline_verb_mc": self.baseline_verb_mc,
-            "vfc_verb_mc": self.vfc_verb_mc,
-            "baseline_noun_mc": self.baseline_noun_mc,
-            "vfc_noun_mc": self.vfc_noun_mc,
-            "baseline_hard_pick_rate": self.baseline_hard_pick_rate,
-            "vfc_hard_pick_rate": self.vfc_hard_pick_rate,
-        }
-
 
 def build_shortcut_manifest(seed: int = 0, n_contexts: int = 50, verbs: int = 5,
                             cell: int = 1) -> DatasetManifest:
-    spec = SynthSpec(n_contexts=n_contexts, verbs_per_context=verbs,
-                     captions_per_cell=cell, seed=seed)
-    manifest = make_synthetic_corpus(spec)
-    cells = _caption_cells(manifest)
-    generations = []
-    for c in range(n_contexts):
-        for k in range(verbs):
-            for cap in cells[synth_verb_phrase(c, k)]:
-                for k2 in range(verbs):
-                    if k2 != k:
-                        generations.append(
-                            _swap_negative(cap, synth_verb_phrase(c, k2)))
-    manifest = DatasetManifest(videos=manifest.videos, captions=manifest.captions,
-                               generations=tuple(generations))
-    manifest.validate()
-    return manifest
+    """Full sibling cross: every caption gets one negative per other verb
+    of its context."""
+    return _swap_manifest(seed, n_contexts, verbs, cell,
+                          lambda k: [k2 for k2 in range(verbs) if k2 != k])
 
 
 def build_shortcut_mc(manifest: DatasetManifest, seed: int,

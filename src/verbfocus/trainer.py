@@ -37,7 +37,8 @@ import numpy as np
 
 from .calibration import VARIANT_FROM_LOSS, usage_weights
 from .corpus import DatasetManifest, write_atomic
-from .encoders import DualEncoders, EncoderConfig, EncoderError, EncoderGrads, TokenIds
+from .encoders import (DualEncoders, EncoderConfig, EncoderError, EncoderGrads, TokenIds,
+                       _read_header)
 from .losses import BatchTensors, LossConfig, LossGrads, StackedRows, combined_vfc
 
 TRAIN_CHECKPOINT_FORMAT = "verbfocus-train"
@@ -338,28 +339,17 @@ def save_train_checkpoint(path, state: TrainState, cfg: TrainConfig) -> None:
 
 
 def load_train_checkpoint(path) -> tuple[TrainState, TrainConfig]:
-    """A malformed checkpoint raises TrainerError, or EncoderError for a bad
-    encoder payload, with the file's name in front."""
-    name = Path(path).name
+    """A malformed checkpoint is bad input: it raises EncoderError, a
+    ValueError, with the file's name in front."""
     with open(path, "rb") as fh:
         try:
-            header = json.loads(fh.readline().decode("utf-8"))
-            if header.get("format") != TRAIN_CHECKPOINT_FORMAT:
-                raise TrainerError(f"not a training checkpoint: {header.get('format')!r}")
-            if header.get("version") != TRAIN_CHECKPOINT_VERSION:
-                raise TrainerError(f"unsupported checkpoint version {header.get('version')!r}")
+            header = _read_header(fh, "a training", TRAIN_CHECKPOINT_FORMAT,
+                                  TRAIN_CHECKPOINT_VERSION, ("train_config", "epoch", "step"))
             encoders = DualEncoders.load_from(fh)
             cfg = TrainConfig.from_dict(header["train_config"])
-            state = TrainState(encoders=encoders, epoch=header["epoch"], step=header["step"])
-        except (EncoderError, TrainerError) as e:
-            raise type(e)(f"{name}: {e}") from None
-        except KeyError as e:
-            raise TrainerError(f"{name}: header has no {e} field") from None
-        except json.JSONDecodeError as e:
-            raise TrainerError(f"{name}: header line is not JSON: {e}") from None
-        except (AttributeError, TypeError, ValueError) as e:  # e.g. a header not an object
-            raise TrainerError(f"{name}: {e}") from None
-    return state, cfg
+        except (TypeError, ValueError) as e:  # EncoderError, or a bad train_config
+            raise EncoderError(f"{Path(path).name}: {e}") from None
+    return TrainState(encoders=encoders, epoch=header["epoch"], step=header["step"]), cfg
 
 
 def train_loop(manifest: DatasetManifest, cfg: TrainConfig,

@@ -374,6 +374,57 @@ def test_eval_on_a_malformed_task_file_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: mc_bad.jsonl:1: missing field")
 
 
+def _trained_run(tmp_path, capsys):
+    """A trained run over write_corpus, with a retrieval and a zero-shot task file."""
+    manifest_path = tmp_path / "manifest.jsonl"
+    write_corpus(manifest_path)
+    out = tmp_path / "run"
+    pairs, task = tmp_path / "pairs.jsonl", tmp_path / "task.jsonl"
+    pairs.write_text("".join(json.dumps({"record": "pair", "video_id": f"v{i}",
+                                         "text": f"person {verb}"}) + "\n"
+                             for i, verb in enumerate(("eating", "running", "walking"))))
+    task.write_text(json.dumps({"record": "class_labels", "labels": ["eating", "running"]})
+                    + "\n" + "".join(json.dumps({"record": "class_item", "video_id": f"v{i}",
+                                                 "class_index": i}) + "\n" for i in (0, 1)))
+    cfg_path = write_config(tmp_path / "cfg.json", manifest_path, out,
+                            eval={"retrieval_pairs": str(pairs)})
+    assert main(["train", "--config", str(cfg_path), "--loss-variant", "none"]) == 0
+    capsys.readouterr()
+    return manifest_path, out, pairs, task
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("trunc.bin", lambda line, payload: line + b"\n" + payload[:-8]),
+    ("nocfg.bin", lambda line, payload: json.dumps(
+        {k: v for k, v in json.loads(line).items() if k != "train_config"}).encode()
+        + b"\n" + payload),
+    ("notjson.bin", lambda line, payload: b"{not json\n" + payload),
+], ids=["truncated_payload", "no_train_config", "header_not_json"])
+def test_eval_on_a_malformed_checkpoint_exits_1(tmp_path, capsys, name, corrupt):
+    manifest_path, out, pairs, _ = _trained_run(tmp_path, capsys)
+    line, payload = (out / "checkpoints" / "checkpoint_final.bin").read_bytes().split(b"\n", 1)
+    bad = tmp_path / name
+    bad.write_bytes(corrupt(line, payload))
+    cfg_path = write_config(tmp_path / "bad.json", manifest_path, out,
+                            eval={"retrieval_pairs": str(pairs), "checkpoint": str(bad)})
+    assert main(["eval", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {name}: ")
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"subset_m": 1, "subset_repeats": 0}, "subset repeats must be a positive integer"),
+    ({"subset_m": 1, "subset_repeats": -1}, "subset repeats must be a positive integer"),
+    ({"ks": 5}, "ks must be a list of positive integers"),
+], ids=["zero_repeats", "negative_repeats", "ks_not_a_list"])
+def test_eval_rejects_settings_it_cannot_use(tmp_path, capsys, setting, message):
+    manifest_path, out, pairs, task = _trained_run(tmp_path, capsys)
+    cfg_path = write_config(tmp_path / "bad.json", manifest_path, out,
+                            eval={"retrieval_pairs": str(pairs),
+                                  "classification": str(task), **setting})
+    assert main(["eval", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def _metrics_without_wall(path):
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]

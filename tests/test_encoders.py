@@ -194,6 +194,23 @@ def test_checkpoint_with_wrong_payload_size_names_the_file(tmp_path, cut):
         DualEncoders.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("header, message", [
+    (b"[1]\n", "header line is not a JSON object"),
+    (None, "header has no 'config' field"),
+    (b"", "header line is not JSON"),
+], ids=["header_not_an_object", "no_config", "empty_file"])
+def test_malformed_checkpoint_header_names_the_file(tmp_path, header, message):
+    enc = small_encoders()
+    line, payload = enc.to_bytes().split(b"\n", 1)
+    if header is None:
+        no_config = {k: v for k, v in json.loads(line).items() if k != "config"}
+        header = json.dumps(no_config).encode() + b"\n" + payload
+    path = tmp_path / "enc.ckpt"
+    path.write_bytes(header)
+    with pytest.raises(EncoderError, match=f"^enc\\.ckpt: {message}"):
+        DualEncoders.load_checkpoint(path)
+
+
 def test_checkpoint_rejects_foreign_headers():
     enc = small_encoders()
     raw = enc.to_bytes()

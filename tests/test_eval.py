@@ -351,6 +351,26 @@ def test_subset_resample_protocol_is_seeded():
         subset_resample_protocol(enc, task, m=8, repeats=1, seed=0)
 
 
+@pytest.mark.parametrize("m, repeats, message", [
+    (3, 0, "subset repeats must be a positive integer"),
+    (3, -1, "subset repeats must be a positive integer"),
+    (3, 2.5, "subset repeats must be a positive integer"),
+    (1.5, 2, "subset size must be an integer from 1 to 7"),
+    ("1", 2, "subset size must be an integer from 1 to 7"),
+])
+def test_subset_resample_protocol_rejects_unusable_settings(m, repeats, message):
+    enc, task = zs_fixture()
+    with pytest.raises(EvalError, match=message):
+        subset_resample_protocol(enc, task, m=m, repeats=repeats, seed=0)
+
+
+@pytest.mark.parametrize("ks", [5, (0,), (1, 2.5), (True,), ["5"]])
+def test_retrieval_rejects_ks_that_are_not_positive_integers(ks):
+    enc = token_encoders(2, ["a", "b"])
+    with pytest.raises(EvalError, match="ks must be a list of positive integers"):
+        eval_retrieval(enc, [("v0", "a"), ("v1", "b")], ks=ks)
+
+
 # ---------------------------------------------------------------------------
 # verb split
 

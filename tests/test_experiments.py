@@ -5,6 +5,10 @@ accuracies) live in the acceptance suite; these tests pin the scaffolding
 the claims stand on.
 """
 
+import hashlib
+import json
+from dataclasses import asdict
+
 import numpy as np
 
 from verbfocus.calibration import count_concepts
@@ -16,6 +20,7 @@ from verbfocus.experiments import (
     build_ratio_law_manifest,
     build_shortcut_manifest,
     build_shortcut_mc,
+    run_attraction_point,
     run_ratio_law,
 )
 
@@ -148,3 +153,39 @@ def test_structured_video_table_is_seeded():
     c = _structured_video_table(manifest, dim=16, seed=6, verb_weight=0.15)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("build, kwargs, digest", [
+    (build_attraction_manifest, {},
+     "f829539a24771988fd7381f3cfdc996bfe863d45d3177cf385134814bedbb438"),
+    (build_attraction_manifest, {"n_contexts": 4, "verbs": 3, "copies": 5},
+     "d2632581d747bf0caba3038bf82ed6c9ef2ca429a2bb72f30217a0ecd6f4d40f"),
+    (build_attraction_manifest, {"seed": 3, "n_contexts": 3, "verbs": 4, "cell": 2, "copies": 2},
+     "d20a364a97269669de2658fa04bdb3fc15b52143261ed056de70c2c54f051900"),
+    (build_shortcut_manifest, {},
+     "b807762af39205b3bb444f50f2d84b8f94fdb35acbc31c085cac7409ac52108f"),
+    (build_shortcut_manifest, {"seed": 1, "n_contexts": 6, "verbs": 4, "cell": 2},
+     "541a8445c6cf5dbae40eff3299885b441fa6edb074fa0023bb5ee541d0f7bb7c"),
+    (build_shortcut_manifest, {"seed": 41, "n_contexts": 128, "verbs": 8},
+     "aeac7d43052cdaaad55df6b88985d22d2c9a41f7f090e320c1499d4fa50df8bf"),
+])
+def test_swap_manifest_generations_are_pinned(build, kwargs, digest):
+    """Generation contents and order, recorded before the two builders
+    shared one loop."""
+    assert _sha256([asdict(g) for g in build(**kwargs).generations]) == digest
+
+
+@pytest.mark.parametrize("run, kwargs, digest", [
+    (run_attraction_point, {"seed": 0},
+     "11c397a415a55c777c6147b34d975f8d0c57cbee7b50e8a5fc87310efe053c8b"),
+    (run_ratio_law, {"seed": 0, "epochs": 20},
+     "ac4635cc29d528d53389a8893672d40e10b91f73e06abf5a71f7029784036bd6"),
+])
+def test_study_results_are_pinned(run, kwargs, digest):
+    """Every field, its value and the key order of result.json, recorded
+    while each result class still wrote its own dictionary."""
+    assert _sha256(asdict(run(**kwargs))) == digest

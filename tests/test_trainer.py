@@ -310,7 +310,7 @@ def test_truncated_checkpoint_names_the_file(tmp_path, cut):
     with pytest.raises(EncoderError, match=r"^ckpt\.bin: checkpoint payload is"):
         load_train_checkpoint(path)
     path.write_bytes(b'{"format": "other"}\n')
-    with pytest.raises(TrainerError, match=r"^ckpt\.bin: not a training checkpoint"):
+    with pytest.raises(EncoderError, match=r"^ckpt\.bin: not a training checkpoint"):
         load_train_checkpoint(path)
 
 
@@ -333,7 +333,7 @@ def _line(obj) -> bytes:
     (lambda h, p: _line({**h, "train_config": {**h["train_config"], "bogus": 1}}) + p,
      "unknown train config key: bogus"),
     (lambda h, p: _line(h), "header line is not JSON"),
-    (lambda h, p: _line(h) + _line([1]), "'list' object has no attribute 'get'"),
+    (lambda h, p: _line(h) + _line([1]), "header line is not a JSON object"),
 ], ids=["no_train_config", "unknown_key", "no_encoder_payload", "encoder_header_not_an_object"])
 def test_malformed_checkpoint_header_names_the_file(tmp_path, corrupt, message):
     manifest = crossed_manifest(n_contexts=2, verbs=2, cell=1)
@@ -343,7 +343,7 @@ def test_malformed_checkpoint_header_names_the_file(tmp_path, corrupt, message):
     save_train_checkpoint(path, state, cfg)
     line, payload = path.read_bytes().split(b"\n", 1)
     path.write_bytes(corrupt(json.loads(line), payload))
-    with pytest.raises(TrainerError, match=rf"^ckpt\.bin: {message}"):
+    with pytest.raises(EncoderError, match=rf"^ckpt\.bin: {message}"):
         load_train_checkpoint(path)
 
 
