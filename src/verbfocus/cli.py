@@ -81,9 +81,7 @@ DEFAULTS = {
     # backend and the HTTP client, then the desk preset. The seed lives at
     # the top level; the encoder's init_scale stays None so it follows dim.
     "gen": {
-        **_fields(GenBackendConfig(), "seed", "decode"),
-        "kinds": ["hard_negative"],
-        "extractor": "rule_tagger",
+        **_fields(GenBackendConfig(), "seed"),
         "lexicon": "default",
         "transcript": None,
         "fill_transcript": None,
@@ -211,13 +209,19 @@ def _build_resources(cfg: dict, manifest):
     raise ConfigError(f"gen.lexicon must be 'default' or 'manifest', got {choice!r}")
 
 
-def _build_client(cfg: dict) -> GenerationClient | None:
-    """The backend's generation client over its transcript or endpoint, or None."""
-    gen = cfg["gen"]
-    if gen["backend"] == "t5_cloze":
-        needs, transcript = "t5_cloze", "fill_transcript"
-    elif "llm_completion" in (gen["backend"], gen["extractor"]):
-        needs, transcript = "llm_completion", "transcript"
+def _build_client(gcfg: GenBackendConfig, gen: dict) -> GenerationClient | None:
+    """The run's one generation client over its transcript or endpoint, or
+    None: fills for t5_cloze, completions when the backend or the extractor
+    is llm_completion or when positives are asked for."""
+    completes = ("llm_completion" in (gcfg.backend, gcfg.extractor)
+                 or "positive_paraphrase" in gcfg.kinds)
+    if gcfg.backend == "t5_cloze":
+        if completes:
+            raise ConfigError("t5_cloze takes the run's one client for fills; it cannot "
+                              "serve llm_completion extraction or positive_paraphrase too")
+        needs, transcript = "t5_cloze fills", "fill_transcript"
+    elif completes:
+        needs, transcript = "completion requests", "transcript"
     else:
         return None
     if gen[transcript]:
@@ -225,21 +229,20 @@ def _build_client(cfg: dict) -> GenerationClient | None:
     elif gen["endpoint"]:
         transport = HttpTransport(_section(CompletionClientConfig, gen))
     else:
-        raise ConfigError(f"{needs} needs gen.{transcript} or gen.endpoint")
+        raise ConfigError(f"{needs} need gen.{transcript} or gen.endpoint")
     return GenerationClient(transport, gen["max_retries"], gen["cache_dir"])
 
 
 def cmd_gen(cfg: dict) -> int:
     out = _out_dir(cfg)
     _write_json(out / "config.json", cfg)
-    manifest = _require_manifest(cfg)
     gen = cfg["gen"]
+    gcfg = _section(GenBackendConfig, gen, seed=cfg["seed"])
+    manifest = _require_manifest(cfg)
     resources = _build_resources(cfg, manifest)
-    client = _build_client(cfg)
+    client = _build_client(gcfg, gen)
     before = len(manifest.generations)
-    result = generate_for_manifest(
-        manifest, _section(GenBackendConfig, gen, seed=cfg["seed"]), resources, client,
-        kinds=tuple(gen["kinds"]), extractor=gen["extractor"])
+    result = generate_for_manifest(manifest, gcfg, resources, client)
     save_manifest(result, out / "manifest_generated.jsonl")
     counts = dict(Counter(g.kind for g in result.generations[before:]))
     report = {

@@ -1,9 +1,14 @@
 """Caption rewriting backends: completion prompts, cloze filling, rule edits.
 
-Every backend funnels through the same post-processing: candidates are cut at
-the first newline, deduplicated, and dropped when they still share a verb with
-the parent caption. Hard negatives therefore never overlap the parent's
-verb-phrase set; positive paraphrases only need to differ in surface form.
+Every hard-negative backend takes one path. A source yields raw candidate
+strings: numbered completions split at their prefixes (llm_completion), the
+cloze fills substituted rank by rank (t5_cloze), or rule rewrites
+(random_verb, antonym_verb). Then one dedupe keeps the first candidate of
+each normalized form, one filter drops every candidate that shares a verb
+with the parent caption, and one cap keeps the first candidates_per_caption
+survivors. A t5_cloze source is at most top_k_fill ranks long, and that
+bound, not candidates_per_caption, caps it. Positive paraphrases share the
+completion source and the dedupe; they only need to differ in surface form.
 """
 
 from __future__ import annotations
@@ -11,19 +16,14 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .clients import (
-    DecodeParams,
-    EXTRACTION_DECODE,
-    GenerationClient,
-    HARD_NEGATIVE_DECODE,
-    POSITIVE_DECODE,
-)
-from .corpus import (GENERATION_BACKENDS, CaptionRecord, DatasetManifest, GeneratedCaption,
-                     VerbPhrase)
+from .clients import (EXTRACTION_DECODE, HARD_NEGATIVE_DECODE, POSITIVE_DECODE, DecodeParams,
+                      GenerationClient)
+from .corpus import (GENERATION_BACKENDS, GENERATION_KINDS, CaptionRecord, DatasetManifest,
+                     GeneratedCaption, VerbPhrase)
 from .lexicon import LexiconResources
 from .prompts import HARD_NEGATIVE_PROMPT, POSITIVE_PROMPT, VERB_PHRASE_PROMPT, parse_phrase_list
 from .text import normalize_text, tokenize
@@ -45,22 +45,31 @@ class CaptionSkip(TextGenError):
 
 @dataclass(frozen=True)
 class GenBackendConfig:
+    """One generation run: the backend and its bounds, which kinds of caption
+    to generate, and the extractor that fills in missing verb phrases."""
+
     backend: str = "llm_completion"
     candidates_per_caption: int = 10
-    decode: DecodeParams = field(default_factory=lambda: HARD_NEGATIVE_DECODE)
     top_k_fill: int = 50
     seed: int = 0
     include_exemplars: bool = True
+    kinds: tuple[str, ...] = ("hard_negative",)
+    extractor: str = "rule_tagger"
 
     def __post_init__(self):
         if self.backend not in GENERATION_BACKENDS:
             raise ValueError(f"unknown generation backend {self.backend!r}")
-        if self.candidates_per_caption < 1:
-            raise ValueError("candidates_per_caption must be >= 1")
-        if self.top_k_fill < 1:
-            raise ValueError("top_k_fill must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name, low in (("candidates_per_caption", 1), ("top_k_fill", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if (not isinstance(self.kinds, (list, tuple)) or not self.kinds
+                or not all(k in GENERATION_KINDS for k in self.kinds)):
+            raise ValueError(f"kinds must be a non-empty list of {GENERATION_KINDS}, "
+                             f"got {self.kinds!r}")
+        object.__setattr__(self, "kinds", tuple(self.kinds))
+        if self.extractor not in EXTRACT_BACKENDS:
+            raise ValueError(f"unknown extraction backend {self.extractor!r}")
 
 
 # Trailing whitespace must stay on the item's own line: a blank item like
@@ -85,19 +94,24 @@ def split_numbered(raw: str) -> list[str]:
     return out
 
 
+def _phrases(tokens: list[str], resources: LexiconResources) -> tuple[VerbPhrase, ...]:
+    return tuple(VerbPhrase(tok) for tok in resources.recognizer.verb_tokens(tokens))
+
+
 def rule_phrases(text: str, resources: LexiconResources) -> tuple[VerbPhrase, ...]:
     """Single-verb phrases found by the closed-class tagger, in token order."""
-    return tuple(
-        VerbPhrase(tok) for tok in resources.recognizer.verb_tokens(tokenize(text))
-    )
+    return _phrases(tokenize(text), resources)
 
 
-def _verb_tokens(text: str, resources: LexiconResources) -> set[str]:
-    return set(resources.recognizer.verb_tokens(tokenize(text)))
-
-
-def _phrase_heads(phrases: tuple[VerbPhrase, ...]) -> set[str]:
-    return {p.surface.split()[0] for p in phrases}
+def _first_seen(candidates: list[str], *exclude: str):
+    """(candidate, its tokens) for the first candidate of each normalized
+    form that is neither empty nor excluded."""
+    seen = {"", *exclude}
+    for cand in candidates:
+        norm = normalize_text(cand)
+        if norm not in seen:
+            seen.add(norm)
+            yield cand, norm.split()
 
 
 def filter_hard_negative_candidates(
@@ -105,46 +119,42 @@ def filter_hard_negative_candidates(
 ) -> list[tuple[str, tuple[VerbPhrase, ...]]]:
     """Dedupe and drop candidates that still share a verb with the parent.
 
-    Sharing is checked at both levels: whole normalized verb phrases, and the
-    head verb token of each phrase plus any tagged verb in the texts.
+    The parent's verbs are the head tokens of its phrases plus the verbs
+    tagged in its text. A candidate's phrases are its tagged verbs, one token
+    each, so sharing a whole parent phrase means sharing that phrase's head.
     """
-    parent_phrases = {p.surface for p in parent.verb_phrases}
-    parent_heads = _phrase_heads(parent.verb_phrases) | _verb_tokens(parent.text, resources)
-    seen: set[str] = set()
+    parent_verbs = {p.surface.split()[0] for p in parent.verb_phrases}
+    parent_verbs.update(resources.recognizer.verb_tokens(tokenize(parent.text)))
     out = []
-    for cand in candidates:
-        norm = normalize_text(cand)
-        if not norm or norm in seen:
-            continue
-        seen.add(norm)
-        phrases = rule_phrases(cand, resources)
-        if {p.surface for p in phrases} & parent_phrases:
-            continue
-        # rule_phrases yields one single-token phrase per tagged verb, so the
-        # phrase heads already are the candidate's tagged verbs.
-        if _phrase_heads(phrases) & parent_heads:
-            continue
-        out.append((cand, phrases))
+    for cand, tokens in _first_seen(candidates):
+        phrases = _phrases(tokens, resources)
+        if parent_verbs.isdisjoint(p.surface for p in phrases):
+            out.append((cand, phrases))
     return out
 
 
+def _records(parent: CaptionRecord, kind: str, backend: str,
+             kept: list[tuple[str, tuple[VerbPhrase, ...]]]) -> list[GeneratedCaption]:
+    """Records of the kept (text, phrases) pairs of a parent."""
+    return [GeneratedCaption(parent.video_id, parent.text, text, kind, backend, phrases)
+            for text, phrases in kept]
+
+
 def postprocess(
-    raw: str,
-    parent: CaptionRecord,
-    resources: LexiconResources | None = None,
-    backend: str = "llm_completion",
+    raw: str, parent: CaptionRecord, resources: LexiconResources | None = None
 ) -> list[GeneratedCaption]:
     """Split one raw completion and filter it into hard-negative records."""
     resources = resources or LexiconResources.default()
     kept = filter_hard_negative_candidates(split_numbered(raw), parent, resources)
-    return _hard_negatives(parent, backend, kept)
+    return _records(parent, "hard_negative", "llm_completion", kept)
 
 
-def _hard_negatives(parent: CaptionRecord, backend: str,
-                    kept: list[tuple[str, tuple[VerbPhrase, ...]]]) -> list[GeneratedCaption]:
-    """Hard-negative records for the filtered (text, phrases) pairs of a parent."""
-    return [GeneratedCaption(parent.video_id, parent.text, text, "hard_negative", backend, phrases)
-            for text, phrases in kept]
+def _completions(client: GenerationClient | None, prompt: str,
+                 decode: DecodeParams) -> list[str]:
+    """The numbered candidates of every completion of one prompt."""
+    if client is None:
+        raise TextGenError("completion requests need a completion client")
+    return [cand for raw in client.complete(prompt, decode) for cand in split_numbered(raw)]
 
 
 def _caption_rng(cfg: GenBackendConfig, caption: CaptionRecord) -> np.random.Generator:
@@ -225,27 +235,40 @@ def _rule_rewrites(
     return rewrites
 
 
+def _cloze_fills(caption: CaptionRecord, cfg: GenBackendConfig, resources: LexiconResources,
+                 client: GenerationClient | None) -> list[str]:
+    """Mask all tagged verbs jointly and substitute the fills rank by rank;
+    the client answers at most top_k_fill ranks per mask."""
+    if client is None:
+        raise TextGenError("t5_cloze backend requires a fill-mask client")
+    words, sites = _verb_sites(caption, resources, lambda core: [])
+    masked = list(words)
+    for s in sites:
+        masked[s.index] = f"{s.prefix}{MASK_TOKEN}{s.suffix}"
+    fills = client.fill(" ".join(masked), cfg.top_k_fill)
+    if fills and len(fills) != len(sites):
+        raise TextGenError(f"fill response has {len(fills)} slots for {len(sites)} masks")
+    return [_substitute(words, sites, picks) for picks in zip(*fills)]
+
+
 def generate_hard_negatives(
     caption: CaptionRecord,
     cfg: GenBackendConfig,
     resources: LexiconResources | None = None,
     client: GenerationClient | None = None,
 ) -> list[GeneratedCaption]:
-    """Up to candidates_per_caption filtered hard negatives for one caption."""
+    """The filtered hard negatives of one caption, cut at the backend's cap."""
     resources = resources or LexiconResources.default()
-    if cfg.backend == "t5_cloze":
-        return t5_cloze_generate(caption, cfg, resources, client)
+    cap = cfg.candidates_per_caption
     if cfg.backend == "llm_completion":
-        if client is None:
-            raise TextGenError("llm_completion backend requires a completion client")
         prompt = HARD_NEGATIVE_PROMPT.render(caption.text, cfg.include_exemplars)
-        raw_candidates: list[str] = []
-        for completion in client.complete(prompt, cfg.decode):
-            raw_candidates.extend(split_numbered(completion))
+        raw = _completions(client, prompt, HARD_NEGATIVE_DECODE)
+    elif cfg.backend == "t5_cloze":
+        raw, cap = _cloze_fills(caption, cfg, resources, client), cfg.top_k_fill
     else:
-        raw_candidates = _rule_rewrites(caption, cfg, resources)
-    kept = filter_hard_negative_candidates(raw_candidates, caption, resources)
-    return _hard_negatives(caption, cfg.backend, kept[: cfg.candidates_per_caption])
+        raw = _rule_rewrites(caption, cfg, resources)
+    kept = filter_hard_negative_candidates(raw, caption, resources)
+    return _records(caption, "hard_negative", cfg.backend, kept[:cap])
 
 
 def generate_positives(
@@ -261,36 +284,14 @@ def generate_positives(
     synonym.
     """
     resources = resources or LexiconResources.default()
-    if client is None:
-        raise TextGenError("positive generation requires a completion client")
     prompt = POSITIVE_PROMPT.render(caption.text, cfg.include_exemplars)
-    decode = cfg.decode if cfg.decode != HARD_NEGATIVE_DECODE else POSITIVE_DECODE
-    raw_candidates: list[str] = []
-    for completion in client.complete(prompt, decode):
-        raw_candidates.extend(split_numbered(completion))
-    if not raw_candidates:
+    raw = _completions(client, prompt, POSITIVE_DECODE)
+    if not raw:
         log.warning("no positive candidates for video %r", caption.video_id)
-    parent_norm = normalize_text(caption.text)
-    seen: set[str] = set()
-    out = []
-    for cand in raw_candidates:
-        norm = normalize_text(cand)
-        if not norm or norm == parent_norm or norm in seen:
-            continue
-        seen.add(norm)
-        out.append(
-            GeneratedCaption(
-                parent_video_id=caption.video_id,
-                parent_caption=caption.text,
-                text=cand,
-                kind="positive_paraphrase",
-                backend="llm_completion",
-                verb_phrases=rule_phrases(cand, resources),
-            )
-        )
-        if len(out) == cfg.candidates_per_caption:
-            break
-    return out
+    kept = [(cand, _phrases(tokens, resources))
+            for cand, tokens in _first_seen(raw, normalize_text(caption.text))]
+    return _records(caption, "positive_paraphrase", "llm_completion",
+                    kept[: cfg.candidates_per_caption])
 
 
 def extract_verb_phrases(
@@ -316,47 +317,7 @@ def extract_verb_phrases(
     prompt = VERB_PHRASE_PROMPT.render(caption.text)
     completions = client.complete(prompt, EXTRACTION_DECODE)
     best = completions[0] if completions else ""
-    phrases = []
-    for p in parse_phrase_list(best):
-        norm = normalize_text(p)
-        if norm:
-            phrases.append(VerbPhrase(norm))
-    return tuple(phrases)
-
-
-def t5_cloze_generate(
-    caption: CaptionRecord,
-    cfg: GenBackendConfig,
-    resources: LexiconResources | None = None,
-    fill_client: GenerationClient | None = None,
-) -> list[GeneratedCaption]:
-    """Mask all tagged verbs jointly, take top-k fills, filter same-verb.
-
-    Returns every surviving candidate; candidates_per_caption does not cap
-    this path, the fill rank list does.
-    """
-    resources = resources or LexiconResources.default()
-    if fill_client is None:
-        raise TextGenError("t5_cloze backend requires a fill-mask client")
-    words, sites = _verb_sites(caption, resources, lambda core: [])
-    masked_words = list(words)
-    for s in sites:
-        masked_words[s.index] = f"{s.prefix}{MASK_TOKEN}{s.suffix}"
-    masked = " ".join(masked_words)
-    fills = fill_client.fill(masked, cfg.top_k_fill)
-    if not fills:
-        return []
-    if len(fills) != len(sites):
-        raise TextGenError(
-            f"fill response has {len(fills)} slots for {len(sites)} masks"
-        )
-    n_cand = min(cfg.top_k_fill, min(len(f) for f in fills))
-    candidates = [
-        _substitute(words, sites, [fills[m][k] for m in range(len(sites))])
-        for k in range(n_cand)
-    ]
-    return _hard_negatives(caption, "t5_cloze",
-                           filter_hard_negative_candidates(candidates, caption, resources))
+    return tuple(VerbPhrase(norm) for norm in map(normalize_text, parse_phrase_list(best)) if norm)
 
 
 def generate_for_manifest(
@@ -364,41 +325,36 @@ def generate_for_manifest(
     cfg: GenBackendConfig,
     resources: LexiconResources | None = None,
     client: GenerationClient | None = None,
-    kinds: tuple[str, ...] = ("hard_negative",),
-    extractor: str | None = None,
 ) -> DatasetManifest:
-    """Run generation over every train caption, appending to the manifest.
+    """Generate cfg.kinds for every train caption, appended to the manifest.
 
-    Captions the backend cannot handle are skipped with a log line. When an
-    extractor is named, captions without verb phrases get them filled first.
+    Captions without verb phrases get them from cfg.extractor first. Captions
+    the backend cannot handle are skipped with a log line.
     """
     resources = resources or LexiconResources.default()
     captions = []
     for c in manifest.captions:
-        if extractor and not c.verb_phrases:
+        if not c.verb_phrases:
             try:
-                phrases = extract_verb_phrases(c, extractor, resources, client)
+                phrases = extract_verb_phrases(c, cfg.extractor, resources, client)
                 c = CaptionRecord(c.video_id, c.text, phrases)
             except CaptionSkip as e:
                 log.info("extraction skipped: %s", e)
         captions.append(c)
-    patched = DatasetManifest(
-        manifest.videos, captions, list(manifest.generations), manifest.schema_version
-    )
-    split_of = {v.video_id: v.split for v in patched.videos}
-    generations = list(patched.generations)
+    split_of = {v.video_id: v.split for v in manifest.videos}
+    generations = list(manifest.generations)
     skipped = 0
     for c in captions:
         if split_of[c.video_id] != "train":
             continue
         try:
-            if "hard_negative" in kinds:
+            if "hard_negative" in cfg.kinds:
                 generations.extend(generate_hard_negatives(c, cfg, resources, client))
-            if "positive_paraphrase" in kinds:
+            if "positive_paraphrase" in cfg.kinds:
                 generations.extend(generate_positives(c, cfg, resources, client))
         except CaptionSkip as e:
             skipped += 1
             log.info("generation skipped: %s", e)
     if skipped:
         log.info("generation skipped %d caption(s)", skipped)
-    return DatasetManifest(patched.videos, captions, generations, patched.schema_version)
+    return DatasetManifest(manifest.videos, captions, generations, manifest.schema_version)

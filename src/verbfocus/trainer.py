@@ -347,6 +347,9 @@ def load_train_checkpoint(path) -> tuple[TrainState, TrainConfig]:
                                   TRAIN_CHECKPOINT_VERSION, ("train_config", "epoch", "step"))
             encoders = DualEncoders.load_from(fh)
             cfg = TrainConfig.from_dict(header["train_config"])
+            for key in ("epoch", "step"):
+                if type(header[key]) is not int or header[key] < 0:
+                    raise EncoderError(f"header field {key!r} is not a non-negative integer")
         except (TypeError, ValueError) as e:  # EncoderError, or a bad train_config
             raise EncoderError(f"{Path(path).name}: {e}") from None
     return TrainState(encoders=encoders, epoch=header["epoch"], step=header["step"]), cfg

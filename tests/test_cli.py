@@ -350,6 +350,32 @@ def test_gen_llm_completion_needs_transcript_or_endpoint(tmp_path, capsys):
     assert "gen.transcript or gen.endpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gen, message", [
+    ({"backend": "random_verb", "kinds": ["hard_negatives"]}, "kinds must be a non-empty list"),
+    ({"backend": "random_verb", "extractor": "nonsense"}, "unknown extraction backend 'nonsense'"),
+    ({"backend": "random_verb", "candidates_per_caption": "3"},
+     "candidates_per_caption must be an integer >= 1, got '3'"),
+    ({"backend": "random_verb", "top_k_fill": 2.5}, "top_k_fill must be an integer >= 1, got 2.5"),
+    ({"backend": "random_verb", "kinds": ["hard_negative", "positive_paraphrase"]},
+     "completion requests need gen.transcript or gen.endpoint"),
+    ({"backend": "t5_cloze", "extractor": "llm_completion"}, "t5_cloze takes the run's one client"),
+    ({"backend": "t5_cloze", "kinds": ["positive_paraphrase"]},
+     "t5_cloze takes the run's one client"),
+], ids=["unknown_kind", "unknown_extractor", "count_not_a_number", "count_not_an_integer",
+        "positives_without_client", "t5_cloze_with_llm_extraction", "t5_cloze_with_positives"])
+def test_gen_config_that_cannot_run_exits_1(tmp_path, capsys, gen, message):
+    manifest_path = tmp_path / "manifest.jsonl"
+    write_corpus(manifest_path)
+    fills = tmp_path / "fills.jsonl"
+    fills.write_text(json.dumps({"text_with_masks": "a person [MASK] in the park",
+                                 "fills": [["cooking"]]}) + "\n")
+    cfg_path = write_config(tmp_path / "cfg.json", manifest_path, tmp_path / "run",
+                            gen={"fill_transcript": str(fills), **gen})
+    assert main(["gen", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "run" / "manifest_generated.jsonl").exists()
+
+
 def test_missing_transcript_file_is_a_runtime_failure(tmp_path, capsys):
     manifest_path = tmp_path / "manifest.jsonl"
     write_corpus(manifest_path)
@@ -455,6 +481,25 @@ def test_train_resume_matches_a_straight_run(tmp_path, capsys):
 
     assert main(train + ["--out", str(stopped), "--seed", "3", "--resume", str(ckpt)]) == 1
     assert "checkpoint_final.bin: saved with a different train config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epoch", ["x", -3], ids=["string", "negative"])
+def test_train_resume_on_a_bad_epoch_exits_1_and_keeps_the_log(tmp_path, capsys, epoch):
+    manifest_path = tmp_path / "manifest.jsonl"
+    write_corpus(manifest_path)
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "cfg.json", manifest_path, out)
+    train = ["train", "--config", str(cfg_path), "--loss-variant", "none"]
+    assert main(train) == 0
+    log = (out / "metrics.jsonl").read_bytes()
+    line, payload = (out / "checkpoints" / "checkpoint_final.bin").read_bytes().split(b"\n", 1)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(json.dumps({**json.loads(line), "epoch": epoch}).encode() + b"\n" + payload)
+    capsys.readouterr()
+    assert main(train + ["--resume", str(bad)]) == 1
+    assert capsys.readouterr().err == \
+        "error: bad.bin: header field 'epoch' is not a non-negative integer\n"
+    assert (out / "metrics.jsonl").read_bytes() == log
 
 
 def test_train_resume_rejects_a_checkpoint_of_another_manifest(tmp_path, capsys):

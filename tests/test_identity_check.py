@@ -1,11 +1,13 @@
-"""The comparison step of scripts/identity_check.py on two hand-made
-artifact trees; no pipeline runs."""
+"""scripts/identity_check.py: its comparison step on two hand-made artifact
+trees, and its two gen runs against this checkout."""
 
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "identity_check.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "identity_check.py"
 spec = importlib.util.spec_from_file_location("identity_check", SCRIPT)
 identity_check = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(identity_check)
@@ -40,3 +42,26 @@ def test_a_missing_artifact_or_a_changed_field_is_flagged(tmp_path):
     (b / "demo" / "config.json").write_text(json.dumps({"out": "x", "seed": 1}))
     assert identity_check.differing(a, b) == (
         ["demo/config.json", "experiments/result.json"], 7)
+
+
+def _records(path: Path, kind: str) -> list[dict]:
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    return [row for row in rows if row["record"] == kind]
+
+
+def test_the_gen_runs_cover_llm_completion_and_t5_cloze(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for work in (a, b):
+        work.mkdir()
+        identity_check.run_gen(ROOT, work, seed=0)
+    assert identity_check.differing(a, b) == ([], 11)
+    llm, cloze = (a / "gen" / name / "manifest_generated.jsonl" for name in ("llm", "cloze"))
+    # LLM extraction filled in every caption's phrases, "[]" included.
+    assert [c["verb_phrases"] for c in _records(llm, "caption")] == [
+        ["eating"], ["opens", "sits down"], [], ["gives", "laughs"]]
+    assert Counter((g["kind"], g["backend"]) for g in _records(llm, "generation")) == {
+        ("hard_negative", "llm_completion"): 6, ("positive_paraphrase", "llm_completion"): 8}
+    # top_k_fill, not candidates_per_caption (1), bounds t5_cloze.
+    assert Counter(g["parent_video_id"] for g in _records(cloze, "generation")) == {
+        "g0": 2, "g1": 2, "g2": 1, "g3": 1}
+    assert {g["backend"] for g in _records(cloze, "generation")} == {"t5_cloze"}

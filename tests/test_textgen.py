@@ -1,5 +1,8 @@
 """Caption rewriting backends and their shared post-processing."""
 
+import hashlib
+import json
+
 import pytest
 
 from verbfocus.clients import GenerationClient, ReplayTransport
@@ -16,7 +19,6 @@ from verbfocus.textgen import (
     generate_positives,
     postprocess,
     split_numbered,
-    t5_cloze_generate,
 )
 
 
@@ -163,6 +165,14 @@ def test_gen_backend_config_rejects_bad_values():
         GenBackendConfig(top_k_fill=0)
     with pytest.raises(ValueError):
         GenBackendConfig(seed=-1)
+    with pytest.raises(ValueError, match="candidates_per_caption must be an integer >= 1"):
+        GenBackendConfig(candidates_per_caption=2.5)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        GenBackendConfig(seed=True)
+    with pytest.raises(ValueError, match="kinds must be a non-empty list"):
+        GenBackendConfig(kinds=())
+    with pytest.raises(ValueError, match="unknown extraction backend"):
+        GenBackendConfig(extractor=None)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +346,7 @@ def test_t5_cloze_masks_all_verbs_jointly():
         {masked: [["running", "walking", "eating"], ["walking", "sitting", "drinking"]]}
     )
     cfg = GenBackendConfig(backend="t5_cloze", top_k_fill=3)
-    out = t5_cloze_generate(cap, cfg, res, stub)
+    out = generate_hard_negatives(cap, cfg, res, stub)
     # Rank 2 pairs the parent's own verbs back in and is filtered out.
     assert [g.text for g in out] == [
         "a man is running and walking",
@@ -354,7 +364,7 @@ def test_t5_cloze_top_k_truncates_ranks():
         {"a man is [MASK]": [["running", "walking", "sitting"]]}
     )
     cfg = GenBackendConfig(backend="t5_cloze", top_k_fill=2)
-    out = t5_cloze_generate(cap, cfg, res, stub)
+    out = generate_hard_negatives(cap, cfg, res, stub)
     assert [g.text for g in out] == ["a man is running", "a man is walking"]
 
 
@@ -365,20 +375,20 @@ def test_t5_cloze_slot_count_mismatch_is_an_error():
     )
     stub = stub_fills({"a man is [MASK] and [MASK]": [["running"]]})
     with pytest.raises(TextGenError):
-        t5_cloze_generate(cap, GenBackendConfig(backend="t5_cloze"), res, stub)
+        generate_hard_negatives(cap, GenBackendConfig(backend="t5_cloze"), res, stub)
 
 
 def test_t5_cloze_empty_fills_yield_nothing():
     res = tiny_resources()
     cap = CaptionRecord("v", "a man is eating", (VerbPhrase("eating"),))
     stub = stub_fills({})
-    assert t5_cloze_generate(cap, GenBackendConfig(backend="t5_cloze"), res, stub) == []
+    assert generate_hard_negatives(cap, GenBackendConfig(backend="t5_cloze"), res, stub) == []
 
 
 def test_t5_cloze_requires_client():
     cap = CaptionRecord("v", "a man is eating", (VerbPhrase("eating"),))
     with pytest.raises(TextGenError):
-        t5_cloze_generate(cap, GenBackendConfig(backend="t5_cloze"), tiny_resources(), None)
+        generate_hard_negatives(cap, GenBackendConfig(backend="t5_cloze"), tiny_resources(), None)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +418,9 @@ def test_generate_for_manifest_patches_phrases_via_extractor():
     captions = [CaptionRecord("v1", "a man is eating")]
     manifest = DatasetManifest(videos, captions, [])
     res = tiny_resources()
-    cfg = GenBackendConfig(backend="random_verb", candidates_per_caption=2, seed=0)
-    out = generate_for_manifest(manifest, cfg, res, extractor="rule_tagger")
+    cfg = GenBackendConfig(backend="random_verb", candidates_per_caption=2, seed=0,
+                           extractor="rule_tagger")
+    out = generate_for_manifest(manifest, cfg, res)
     assert out.captions[0].verb_phrases == (VerbPhrase("eating"),)
     assert out.generations
 
@@ -426,3 +437,130 @@ def test_generate_for_manifest_skips_unhandled_captions():
     out = generate_for_manifest(manifest, cfg, res)
     # v1 has no verb to rewrite; it is skipped, not fatal.
     assert {g.parent_video_id for g in out.generations} == {"v2"}
+
+
+# ---------------------------------------------------------------------------
+# pinned generations and request bodies of every backend
+
+
+DIGEST_CAPTIONS = [
+    ("d0", "train", "A person is eating in the park.", ("eating",)),
+    ("d1", "train", "she opens the door and sits down", ("opens", "sits")),
+    ("d2", "train", "a man pushing a cart", ("pushing",)),
+    ("d3", "train", "the kids laugh, then cry", ("laugh", "cry")),
+    ("d4", "train", "a woman buys bread", ("buys",)),
+    ("d5", "train", "the blue sky", ()),
+    ("d6", "val", "a man is running", ("running",)),
+    ("d7", "train", "Someone gives a gift and enters the room", ("gives", "enters")),
+    ("d8", "train", "a dog sleeping on the sofa", ("sleeping",)),
+]
+
+
+def digest_manifest(with_phrases=True):
+    videos = [VideoRecord(vid, split) for vid, split, _, _ in DIGEST_CAPTIONS]
+    captions = [CaptionRecord(vid, text, tuple(VerbPhrase(p) for p in phrases)
+                              if with_phrases else ())
+                for vid, _, text, phrases in DIGEST_CAPTIONS]
+    return DatasetManifest(videos, captions, [])
+
+
+def digest_completions():
+    """Each caption answers with an extraction list on its first line, then
+    numbered rewrites: a swap, the parent, a case duplicate, two more swaps."""
+    table = {}
+    for _, _, text, phrases in DIGEST_CAPTIONS:
+        verb = phrases[0] if phrases else "sky"
+        swaps = [text.replace(verb, w) for w in ("cooking", "walks", "running")]
+        items = [swaps[0], text, swaps[0].upper(), swaps[1], swaps[2]]
+        listed = "[" + ", ".join(f"'{p}'" for p in phrases) + "]"
+        table[text] = ["\n".join([listed] + [f"{i + 1}. {s}" for i, s in enumerate(items)])]
+    return stub_completions(table)
+
+
+class AnyFills(dict):
+    """A fill transcript with an entry for every masked text: rank r of
+    slot m is verb (r + 7 m) of a fixed 60-verb list, parent verbs first."""
+
+    VERBS = ("eating", "opens", "sits", "cooking", "pushing") + tuple(
+        f"verb{i:02d}ing" for i in range(55))
+
+    def get(self, key, default=None):
+        slots = key.count("[MASK]")
+        return {"fills": [list(self.VERBS[7 * m:] + self.VERBS[:7 * m]) for m in range(slots)]}
+
+
+def generated_digest(manifest, client):
+    rows = [[c.video_id, c.text, [p.surface for p in c.verb_phrases]] for c in manifest.captions]
+    rows += [[g.parent_video_id, g.parent_caption, g.text, g.kind, g.backend,
+              [p.surface for p in g.verb_phrases], g.kept] for g in manifest.generations]
+    calls = client.transport.calls if client else []
+    return hashlib.sha256(json.dumps([rows, calls]).encode()).hexdigest()
+
+
+def run_generation(manifest, client, kinds, extractor, **cfg):
+    cfg = GenBackendConfig(kinds=kinds, extractor=extractor, **cfg)
+    return generate_for_manifest(manifest, cfg, LexiconResources.default(), client)
+
+
+HN = ("hard_negative",)
+BOTH = ("hard_negative", "positive_paraphrase")
+
+# id: (backend settings, kinds, extractor, captions keep their phrases, client)
+DIGEST_CASES = {
+    "random_verb_cap1": (dict(backend="random_verb", candidates_per_caption=1), HN,
+                         "rule_tagger", True, None),
+    "random_verb_cap3": (dict(backend="random_verb", candidates_per_caption=3, seed=4), HN,
+                         "rule_tagger", True, None),
+    "random_verb_cap8": (dict(backend="random_verb", candidates_per_caption=8), HN,
+                         "rule_tagger", True, None),
+    "antonym_verb_cap1": (dict(backend="antonym_verb", candidates_per_caption=1), HN,
+                          "rule_tagger", True, None),
+    "antonym_verb_cap3": (dict(backend="antonym_verb", candidates_per_caption=3, seed=3), HN,
+                          "rule_tagger", True, None),
+    "antonym_verb_cap8": (dict(backend="antonym_verb", candidates_per_caption=8, seed=2), HN,
+                          "rule_tagger", True, None),
+    "llm_exemplars_positives": (dict(backend="llm_completion", candidates_per_caption=2), BOTH,
+                                "rule_tagger", True, digest_completions),
+    "llm_no_exemplars_positives": (dict(backend="llm_completion", candidates_per_caption=10,
+                                        include_exemplars=False), BOTH,
+                                   "rule_tagger", True, digest_completions),
+    "llm_extraction": (dict(backend="llm_completion", candidates_per_caption=3), BOTH,
+                       "llm_completion", False, digest_completions),
+    "rule_tagger_extraction": (dict(backend="random_verb", candidates_per_caption=3), HN,
+                               "rule_tagger", False, None),
+    "t5_cloze_top1": (dict(backend="t5_cloze", top_k_fill=1), HN, "rule_tagger", True,
+                      lambda: GenerationClient(ReplayTransport(AnyFills()))),
+    "t5_cloze_top3_cap2": (dict(backend="t5_cloze", top_k_fill=3, candidates_per_caption=2), HN,
+                           "rule_tagger", True,
+                           lambda: GenerationClient(ReplayTransport(AnyFills()))),
+    "t5_cloze_top50_cap2": (dict(backend="t5_cloze", top_k_fill=50, candidates_per_caption=2),
+                            HN, "rule_tagger", True,
+                            lambda: GenerationClient(ReplayTransport(AnyFills()))),
+}
+
+DIGESTS = {
+    "antonym_verb_cap1": "6c6b34b5362ce2eaf71a82ed42e550802f670e108dd2c8e57bee75c1e2b99c5b",
+    "antonym_verb_cap3": "3ced25c4c714d01a05e670de281d2aa2e07bef497e2b07f5cea5e2302629e074",
+    "antonym_verb_cap8": "ec286919f4d923d8801b5b84c61cb9fc08e54949433ef7ac23ebe05044bd0e8f",
+    "llm_exemplars_positives": "c849ee988e6a659d8565f55acd35be8ffe2b064bb8985e80f9587ef88437af09",
+    "llm_extraction": "8ed582d607577a12f9a8d896c4e3a5d86dfb8d644dd3619bfda2c84d02733f13",
+    "llm_no_exemplars_positives":
+        "339f2729f868c1f153fa75fe330d175cefa998b4fbf4fb54894e94b30ca5ed43",
+    "random_verb_cap1": "98c3ea8818769a94ab4b968ebe7672790519807241551239a1ee3a5a4e664215",
+    "random_verb_cap3": "3ad5d3be064d95225578caad9c13e43b7d8bfee378296186b3fa0821e6afbe0e",
+    "random_verb_cap8": "d65b5e7b76516122136bb6046750e996869b473bad2f24a0fbc52bdab5530c5a",
+    "rule_tagger_extraction": "41dc262298d36a19f13f8ed938ab30e1a953d38bfeb614a11de9bf7455ded7cd",
+    "t5_cloze_top1": "ab21cc61b4afa1d71e246a0b30b18db3246bacf4dfedc78279e26313e59a38ee",
+    "t5_cloze_top3_cap2": "ddf89a70ab5a6019456fbb8672ab84c0d5ca92cf5a2e55c0a8181ce7af2ccbde",
+    "t5_cloze_top50_cap2": "b706161faa3fc2ce1b5bdf966e4fa5b0d7d0bfd6350e348ef93f28a1513ffd90",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+def test_generations_and_request_bodies_are_pinned(case):
+    """sha256 over every field of the captions and generations and every
+    posted request body, recorded before the backends shared one path."""
+    settings, kinds, extractor, with_phrases, make_client = DIGEST_CASES[case]
+    client = make_client() if make_client else None
+    out = run_generation(digest_manifest(with_phrases), client, kinds, extractor, **settings)
+    assert generated_digest(out, client) == DIGESTS[case]

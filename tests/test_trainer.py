@@ -327,6 +327,12 @@ def _line(obj) -> bytes:
     return json.dumps(obj).encode() + b"\n"
 
 
+# epoch and step values that are not non-negative integers, by id
+_BAD_COUNTS = {f"{key}_{kind}": (key, value) for key in ("epoch", "step")
+               for kind, value in (("string", "x"), ("negative", -3), ("bool", True),
+                                   ("float", 1.5))}
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda h, p: _line({k: v for k, v in h.items() if k != "train_config"}) + p,
      "header has no 'train_config' field"),
@@ -334,7 +340,11 @@ def _line(obj) -> bytes:
      "unknown train config key: bogus"),
     (lambda h, p: _line(h), "header line is not JSON"),
     (lambda h, p: _line(h) + _line([1]), "header line is not a JSON object"),
-], ids=["no_train_config", "unknown_key", "no_encoder_payload", "encoder_header_not_an_object"])
+    *((lambda h, p, key=key, value=value: _line({**h, key: value}) + p,
+       f"header field '{key}' is not a non-negative integer$")
+      for key, value in _BAD_COUNTS.values()),
+], ids=["no_train_config", "unknown_key", "no_encoder_payload", "encoder_header_not_an_object",
+        *_BAD_COUNTS])
 def test_malformed_checkpoint_header_names_the_file(tmp_path, corrupt, message):
     manifest = crossed_manifest(n_contexts=2, verbs=2, cell=1)
     cfg = tiny_cfg(batch_size=4, epochs=1)
