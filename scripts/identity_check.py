@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """List the demo and study artifacts on which two checkouts differ.
 
-    python3 scripts/identity_check.py --parent ../parent --change . [--seed 0]
+    python3 scripts/identity_check.py --parent ../parent --change . [--seeds 0-2]
 
-Runs scripts/demo_pipeline.py and scripts/run_experiments.py at --seed in
-each checkout, against that checkout's own src/. Then it runs `gen` twice
+For each seed of --seeds (a range "0-2", a list "0,3,5" or one seed; default
+0), runs scripts/demo_pipeline.py and scripts/run_experiments.py at that seed
+in each checkout, against that checkout's own src/. Then it runs `gen` twice
 over a four-caption corpus without verb phrases: once with llm_completion
 (hard negatives, positives and LLM extraction) from a completion
 transcript, once with t5_cloze from a fill transcript. It compares every
@@ -12,9 +13,9 @@ artifact the runs wrote byte for byte. Three kinds of file change from run
 to run, so they are compared with these fields dropped: `out` from the
 config.json files, and `wall_ms` from metrics.jsonl and summary.json.
 
-Prints one line per artifact that differs or exists on one side only, and
-exits 1 if there is any; otherwise it prints how many artifacts matched and
-exits 0.
+Prints one line per artifact that differs or exists on one side only, then
+one line per seed with how many artifacts matched, and exits 1 if any
+artifact differs at any seed; otherwise it exits 0.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import parse_seeds  # noqa: E402
 
 VOLATILE = {"config.json": "out", "metrics.jsonl": "wall_ms", "summary.json": "wall_ms"}
 
@@ -147,18 +151,21 @@ def main(argv=None) -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seeds", "--seed", type=parse_seeds, default=[0])
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="identity_check_") as tmp:
-        sides = {name: Path(tmp) / name for name in ("parent", "change")}
-        for name, work in sides.items():
-            work.mkdir()
-            run_checkout(getattr(args, name), work, args.seed)
-        diff, total = differing(sides["parent"], sides["change"])
-    for rel in diff:
-        print(f"differs: {rel}")
-    print(f"seed {args.seed}: {total - len(diff)} of {total} artifacts identical")
-    return 1 if diff else 0
+    status = 0
+    for seed in args.seeds:
+        with tempfile.TemporaryDirectory(prefix="identity_check_") as tmp:
+            sides = {name: Path(tmp) / name for name in ("parent", "change")}
+            for name, work in sides.items():
+                work.mkdir()
+                run_checkout(getattr(args, name), work, seed)
+            diff, total = differing(sides["parent"], sides["change"])
+        for rel in diff:
+            print(f"differs: {rel}")
+        print(f"seed {seed}: {total - len(diff)} of {total} artifacts identical", flush=True)
+        status = 1 if diff else status
+    return status
 
 
 if __name__ == "__main__":

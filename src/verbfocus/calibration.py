@@ -172,11 +172,10 @@ def calibrate_filter(manifest: DatasetManifest) -> tuple[DatasetManifest, Calibr
                     break
 
     filtered = set_kept_flags(manifest, decisions)
-    after = count_concepts(filtered, kept_only=True)
-    # Filtering only clears flags, so after's concepts are among before's.
+    # Every kept hard negative was a candidate and spent its quota.
     concept_rows = [
         ConceptRow(concept=c, s_count=st.s_count, g_before=st.g_count,
-                   g_after=after[c].g_count if c in after else 0)
+                   g_after=st.s_count - quotas[c])
         for c, st in sorted(before.items())
     ]
 

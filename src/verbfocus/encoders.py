@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import check_fields
 from .corpus import DatasetManifest, write_atomic
 from .text import tokenize
 
@@ -72,8 +73,7 @@ class EncoderConfig:
     freeze_text: bool = False
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be at least 2")
+        check_fields(self, dim=2)
         if self.init_scale is None:
             object.__setattr__(self, "init_scale", 1.0 / math.sqrt(self.dim))
         elif self.init_scale <= 0:

@@ -19,6 +19,8 @@ hard-negative weighting reweights negative denominator terms by
 softmax(beta * sim / sigma), scaled to sum to the negative count, with the
 positive scaled by alpha; gradients flow through the weights. Reductions
 are means over contributing rows, so values compare across batch sizes.
+Each term also returns its value under a uniform prediction
+(LossOutput.uniform), worked out next to its mask; combined_vfc divides by it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .checks import check_fields
 
 NEGATIVE_VARIANTS = ("none", "hn_uncalibrated", "calibrated_hn")
 NCE_MODES = ("standard", "hardneg_nce")
@@ -46,6 +50,7 @@ class LossConfig:
     verb_phrase_direction: str = "v2t_only"
 
     def __post_init__(self):
+        check_fields(self, beta=0)
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.negative_variant not in NEGATIVE_VARIANTS:
@@ -56,8 +61,6 @@ class LossConfig:
             raise ValueError(f"unknown verb_phrase_direction {self.verb_phrase_direction!r}")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
 
 
 @dataclass
@@ -143,9 +146,14 @@ class LossGrads:
 
 @dataclass
 class LossOutput:
+    """A mean loss, its named parts, its gradients, and uniform: the mean over
+    the anchor rows of log(the number of candidates in the row's denominator);
+    1.0 for a term with at most one anchor row and for the combined objective."""
+
     total: float
     terms: dict[str, float]
     grads: LossGrads
+    uniform: float = 1.0
 
 
 def hardneg_nce_weights(neg_sims: np.ndarray, cfg: LossConfig) -> np.ndarray:
@@ -224,32 +232,31 @@ def _in_batch(anchors, candidates, cfg: LossConfig):
 def info_nce_t2v(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     """Caption anchors against the batch videos."""
     total, gc, gv = _in_batch(batch.caption, batch.video, cfg)
-    return LossOutput(total, {"t2v": total}, LossGrads(gv, gc))
+    return LossOutput(total, {"t2v": total}, LossGrads(gv, gc), float(np.log(batch.batch_size)))
 
 
 def info_nce_v2t(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     """Video anchors against the batch captions."""
     total, gv, gc = _in_batch(batch.video, batch.caption, cfg)
-    return LossOutput(total, {"v2t": total}, LossGrads(gv, gc))
+    return LossOutput(total, {"v2t": total}, LossGrads(gv, gc), float(np.log(batch.batch_size)))
 
 
 def _v2t_with_negatives(batch: BatchTensors, cfg: LossConfig, term: str,
                         own_only: bool) -> LossOutput:
-    """v2t over [captions; stacked negatives], all or only own negatives on."""
-    if not batch.hard.rows.size:
-        # No generated negatives: identical to the baseline, bit for bit.
-        out = info_nce_v2t(batch, cfg)
-        return LossOutput(out.total, {term: out.total}, out.grads)
+    """v2t over [captions; stacked negatives], all or only own negatives on.
+    With no negatives this is info_nce_v2t, bit for bit."""
     B = batch.batch_size
     idx = np.arange(B)
+    counts = batch.hard.counts()
     candidates = np.vstack([batch.caption, batch.hard.rows])
     negs = np.ones((B, candidates.shape[0]), dtype=bool)
     negs[idx, idx] = False
     if own_only:
-        negs[:, B:] = np.repeat(idx, batch.hard.counts()) == idx[:, None]
+        negs[:, B:] = np.repeat(idx, counts) == idx[:, None]
+    uniform = np.mean(np.log(B + counts)) if own_only else np.log(B + counts.sum())
     total, gv, gc = _contrast(batch.video, candidates, idx, negs, cfg)
     hard = StackedRows(gc[B:], batch.hard.offsets)
-    return LossOutput(total, {term: total}, LossGrads(gv, gc[:B], hard))
+    return LossOutput(total, {term: total}, LossGrads(gv, gc[:B], hard), float(uniform))
 
 
 def loss_hn_uncalibrated(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
@@ -294,26 +301,8 @@ def loss_verb_phrase(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
         grads.verb[members] += scale * gt2
         grads.video += scale * gv2
         total += scale * total2
-    return LossOutput(total, {"verb_phrase": total}, grads)
-
-
-def uniform_normalizer(term: str, batch_size: int, hard_counts=None) -> float:
-    """Loss value of the term under a uniform prediction; the divisor.
-
-    Uses realized denominator sizes: log B for the in-batch directions and
-    the verb term (pass the participating count as batch_size), the mean of
-    log(B + n_i) for calibrated negatives, log(B + sum n_j) for the
-    uncalibrated form.
-    """
-    if term in ("t2v", "v2t", "verb_phrase", "none"):
-        return float(np.log(batch_size))
-    if term == "calibrated_hn":
-        counts = np.asarray(hard_counts if hard_counts is not None else [])
-        return float(np.mean(np.log(batch_size + counts)) if counts.size else np.log(batch_size))
-    if term == "hn_uncalibrated":
-        total = int(np.sum(hard_counts)) if hard_counts is not None else 0
-        return float(np.log(batch_size + total))
-    raise ValueError(f"unknown term {term!r}")
+    uniform = 0.5 * (np.log(M) + np.log(batch.batch_size)) if both else np.log(M)
+    return LossOutput(total, {"verb_phrase": total}, grads, float(uniform) if M > 1 else 1.0)
 
 
 def combined_vfc(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
@@ -322,9 +311,8 @@ def combined_vfc(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     The ``chn`` entry in ``terms`` holds whichever negative variant the
     config selects (plain v2t when negative_variant is "none"). With
     normalize_by_uniform, each stored term value is the raw mean divided by
-    its uniform-prediction value, so a uniform batch scores 1.0 per term.
+    the term's uniform value, so a uniform batch scores 1.0 per term.
     """
-    B = batch.batch_size
     t2v = info_nce_t2v(batch, cfg)
     if cfg.negative_variant == "none":
         mid = info_nce_v2t(batch, cfg)
@@ -332,24 +320,11 @@ def combined_vfc(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
         mid = loss_hn_uncalibrated(batch, cfg)
     else:
         mid = loss_chn(batch, cfg)
+    verb = None if batch.verb is None else loss_verb_phrase(batch, cfg)
+    members = verb is not None and bool(batch.verb_mask.any())
 
-    members = 0
-    if batch.verb is not None:
-        verb = loss_verb_phrase(batch, cfg)
-        members = int(np.count_nonzero(batch.verb_mask))
-
-    if cfg.normalize_by_uniform:
-        div1 = uniform_normalizer("t2v", B)
-        div2 = uniform_normalizer(cfg.negative_variant, B, batch.hard_counts())
-        if members > 1:
-            div3 = uniform_normalizer("verb_phrase", members)
-            if cfg.verb_phrase_direction == "both":
-                div3 = 0.5 * (div3 + uniform_normalizer("verb_phrase", B))
-        else:
-            div3 = 1.0
-    else:
-        div1 = div2 = div3 = 1.0
-
+    div1, div2, div3 = (out.uniform if cfg.normalize_by_uniform and out is not None else 1.0
+                        for out in (t2v, mid, verb))
     s1, s2, s3 = cfg.lambda1 / div1, cfg.lambda2 / div2, cfg.lambda3 / div3
     term1 = t2v.total / div1
     term2 = mid.total / div2
@@ -363,7 +338,7 @@ def combined_vfc(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
         caption=s1 * t2v.grads.caption + s2 * mid.grads.caption,
         hard=StackedRows(np.zeros_like(batch.hard.rows) if hard is None else s2 * hard.rows,
                          batch.hard.offsets),
-        verb=None if batch.verb is None else s3 * verb.grads.verb,
+        verb=None if verb is None else s3 * verb.grads.verb,
     )
     if members:
         grads.video += s3 * verb.grads.video

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_fields
 from .clients import (EXTRACTION_DECODE, HARD_NEGATIVE_DECODE, POSITIVE_DECODE, DecodeParams,
                       GenerationClient)
 from .corpus import (GENERATION_BACKENDS, GENERATION_KINDS, CaptionRecord, DatasetManifest,
@@ -59,10 +60,7 @@ class GenBackendConfig:
     def __post_init__(self):
         if self.backend not in GENERATION_BACKENDS:
             raise ValueError(f"unknown generation backend {self.backend!r}")
-        for name, low in (("candidates_per_caption", 1), ("top_k_fill", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if type(value) is not int or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        check_fields(self, candidates_per_caption=1, top_k_fill=1, seed=0)
         if (not isinstance(self.kinds, (list, tuple)) or not self.kinds
                 or not all(k in GENERATION_KINDS for k in self.kinds)):
             raise ValueError(f"kinds must be a non-empty list of {GENERATION_KINDS}, "

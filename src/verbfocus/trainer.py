@@ -36,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import VARIANT_FROM_LOSS, usage_weights
+from .checks import check_fields
 from .corpus import DatasetManifest, write_atomic
 from .encoders import (DualEncoders, EncoderConfig, EncoderError, EncoderGrads, TokenIds,
                        _read_header)
@@ -62,16 +63,7 @@ class TrainConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def __post_init__(self):
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.n_hard_max < 0:
-            raise ValueError("n_hard_max must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be non-negative")
+        check_fields(self, batch_size=2, epochs=0, n_hard_max=0, seed=0, checkpoint_every=0)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

@@ -376,6 +376,42 @@ def test_gen_config_that_cannot_run_exits_1(tmp_path, capsys, gen, message):
     assert not (tmp_path / "run" / "manifest_generated.jsonl").exists()
 
 
+# (config key, its wrong-typed value, the command that reads it, the message)
+WRONG_TYPES = [
+    ("train.batch_size", 4.5, "train", "batch_size must be an integer >= 2, got 4.5"),
+    ("train.epochs", 2.5, "train", "epochs must be an integer >= 0, got 2.5"),
+    ("train.epochs", True, "train", "epochs must be an integer >= 0, got True"),
+    ("train.n_hard_max", 1.5, "train", "n_hard_max must be an integer >= 0, got 1.5"),
+    ("encoder.dim", 16.0, "train", "dim must be an integer >= 2, got 16.0"),
+    ("train.learning_rate", "0.1", "train", "learning_rate must be a number, got '0.1'"),
+    ("encoder.freeze_video", "false", "train",
+     "freeze_video must be true or false, got 'false'"),
+    ("loss.normalize_by_uniform", "no", "train",
+     "normalize_by_uniform must be true or false, got 'no'"),
+    ("gen.include_exemplars", "false", "gen",
+     "include_exemplars must be true or false, got 'false'"),
+]
+
+
+@pytest.mark.parametrize("key, value, command, message", WRONG_TYPES,
+                         ids=[f"{c[0]}={c[1]!r}" for c in WRONG_TYPES])
+def test_a_config_value_of_the_wrong_type_exits_1_before_the_run(
+        tmp_path, capsys, key, value, command, message):
+    manifest_path = tmp_path / "manifest.jsonl"
+    write_corpus(manifest_path)
+    out = tmp_path / "run"
+    section, leaf = key.split(".")
+    sections = {"gen": {"backend": "random_verb"}}
+    sections.setdefault(section, {})[leaf] = value
+    cfg_path = write_config(tmp_path / "cfg.json", manifest_path, out, **sections)
+    out.mkdir()
+    (out / "metrics.jsonl").write_text("kept\n")
+    assert main([command, "--config", str(cfg_path), "--loss-variant", "none"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert (out / "metrics.jsonl").read_text() == "kept\n"
+    assert not (out / "manifest_generated.jsonl").exists()
+
+
 def test_missing_transcript_file_is_a_runtime_failure(tmp_path, capsys):
     manifest_path = tmp_path / "manifest.jsonl"
     write_corpus(manifest_path)

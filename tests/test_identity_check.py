@@ -6,6 +6,8 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "identity_check.py"
 spec = importlib.util.spec_from_file_location("identity_check", SCRIPT)
@@ -65,3 +67,23 @@ def test_the_gen_runs_cover_llm_completion_and_t5_cloze(tmp_path):
     assert Counter(g["parent_video_id"] for g in _records(cloze, "generation")) == {
         "g0": 2, "g1": 2, "g2": 1, "g3": 1}
     assert {g["backend"] for g in _records(cloze, "generation")} == {"t5_cloze"}
+
+
+@pytest.mark.parametrize("argv, seeds", [
+    ([], [0]),
+    (["--seed", "3"], [3]),
+    (["--seeds", "0-2"], [0, 1, 2]),
+    (["--seeds", "4,1"], [4, 1]),
+], ids=["default", "one_seed", "range", "list"])
+def test_each_seed_gets_a_summary_line_and_any_difference_exits_1(
+        tmp_path, monkeypatch, capsys, argv, seeds):
+    def fake_run(checkout, work, seed):
+        # Seed 1 writes a different checkpoint on the change side.
+        write_tree(work, "x", 1.0, b"%d" % (seed + (checkout.name == "change" and seed == 1)))
+
+    monkeypatch.setattr(identity_check, "run_checkout", fake_run)
+    status = identity_check.main(["--parent", str(tmp_path / "parent"),
+                                  "--change", str(tmp_path / "change"), *argv])
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("seed")]
+    assert lines == [f"seed {s}: {5 if s == 1 else 6} of 6 artifacts identical" for s in seeds]
+    assert status == int(1 in seeds)

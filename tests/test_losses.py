@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import (fd_check, naive_chn, naive_combined, naive_hn, naive_t2v,
                       naive_v2t, naive_verb, random_batch, rel_err, unit_rows)
-from verbfocus.losses import (BatchTensors, LossConfig, StackedRows, combined_vfc,
-                              hardneg_nce_weights, info_nce_t2v, info_nce_v2t,
-                              loss_chn, loss_hn_uncalibrated, loss_verb_phrase,
-                              uniform_normalizer)
+from verbfocus import losses
+from verbfocus.losses import (NEGATIVE_VARIANTS, BatchTensors, LossConfig, StackedRows,
+                              combined_vfc, hardneg_nce_weights, info_nce_t2v, info_nce_v2t,
+                              loss_chn, loss_hn_uncalibrated, loss_verb_phrase)
 
 ORACLE_TOL = 1e-12
 
@@ -136,18 +136,53 @@ def test_uniform_identity_both_direction_and_hardneg_mode():
             assert value == pytest.approx(1.0, abs=1e-9), (term, cfg.nce_mode)
 
 
-def test_uniform_normalizer_table():
-    assert uniform_normalizer("t2v", 8) == pytest.approx(np.log(8))
-    assert uniform_normalizer("v2t", 5) == pytest.approx(np.log(5))
-    assert uniform_normalizer("verb_phrase", 3) == pytest.approx(np.log(3))
-    assert uniform_normalizer("hn_uncalibrated", 4, [1, 2, 0, 1]) == \
-        pytest.approx(np.log(8))
-    expected = np.mean([np.log(4 + n) for n in (1, 2, 0, 1)])
-    assert uniform_normalizer("calibrated_hn", 4, [1, 2, 0, 1]) == \
-        pytest.approx(expected)
-    assert uniform_normalizer("calibrated_hn", 4, []) == pytest.approx(np.log(4))
-    with pytest.raises(ValueError):
-        uniform_normalizer("bogus", 4)
+# (term, batch size, hard-negative counts, verb members, verb direction,
+# the term's uniform value); verb members None means a batch without verbs
+UNIFORM_CASES = [
+    (info_nce_t2v, 8, None, None, "v2t_only", np.log(8)),
+    (info_nce_v2t, 5, None, None, "v2t_only", np.log(5)),
+    (loss_hn_uncalibrated, 4, [1, 2, 0, 1], None, "v2t_only", np.log(8)),
+    (loss_chn, 4, [1, 2, 0, 1], None, "v2t_only", np.mean([np.log(4 + n) for n in (1, 2, 0, 1)])),
+    # All-zero counts keep the mean of B copies of log B, not log B itself.
+    (loss_chn, 4, [0, 0, 0, 0], None, "v2t_only", np.mean(np.log(np.full(4, 4)))),
+    (loss_verb_phrase, 4, None, 3, "v2t_only", np.log(3)),
+    (loss_verb_phrase, 4, None, 0, "v2t_only", 1.0),
+    (loss_verb_phrase, 4, None, 1, "v2t_only", 1.0),
+    (loss_verb_phrase, 4, None, 2, "v2t_only", np.log(2)),
+    (loss_verb_phrase, 4, None, 0, "both", 1.0),
+    (loss_verb_phrase, 4, None, 1, "both", 1.0),
+    (loss_verb_phrase, 4, None, 2, "both", 0.5 * (np.log(2) + np.log(4))),
+]
+
+
+@pytest.mark.parametrize("fn,B,counts,members,direction,expected", UNIFORM_CASES,
+                         ids=["t2v", "v2t", "hn", "chn", "chn_no_negatives", "verb_3",
+                              "verb_0", "verb_1", "verb_2", "both_0", "both_1", "both_2"])
+def test_each_term_carries_its_uniform_value(fn, B, counts, members, direction, expected, rng):
+    if members is None:
+        batch = random_batch(rng, B, 4, hard_counts=counts)
+    else:
+        batch = random_batch(rng, B, 4, with_verb=True, mask=np.arange(B) < members)
+    out = fn(batch, LossConfig(sigma=0.2, verb_phrase_direction=direction))
+    assert out.uniform == expected
+
+
+def test_combined_looks_each_term_up_at_call_time(monkeypatch, rng):
+    """combined_vfc calls the term functions through the module, so a
+    wrapper set on the module attribute (as a tracer does) sees each call."""
+    called = []
+    for name in ("info_nce_t2v", "info_nce_v2t", "loss_hn_uncalibrated", "loss_chn",
+                 "loss_verb_phrase"):
+        def wrapper(batch, cfg, _name=name, _fn=getattr(losses, name)):
+            called.append(_name)
+            return _fn(batch, cfg)
+        monkeypatch.setattr(losses, name, wrapper)
+    batch = random_batch(rng, 4, 4, hard_counts=[1, 0, 2, 1], with_verb=True)
+    for variant in NEGATIVE_VARIANTS:
+        combined_vfc(batch, LossConfig(sigma=0.2, negative_variant=variant))
+    assert called == ["info_nce_t2v", "info_nce_v2t", "loss_verb_phrase",
+                      "info_nce_t2v", "loss_hn_uncalibrated", "loss_verb_phrase",
+                      "info_nce_t2v", "loss_chn", "loss_verb_phrase"]
 
 
 # -- structural properties ------------------------------------------------
