@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .corpus import DatasetManifest, set_kept_flags
 
@@ -125,6 +126,9 @@ class CalibrationReport:
         return "\n".join(lines)
 
 
+_surface = attrgetter("surface")
+
+
 def _candidate_sort_key(text: str):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -142,7 +146,9 @@ def calibrate_filter(manifest: DatasetManifest) -> tuple[DatasetManifest, Calibr
     generations are out of scope and keep their flags.
     """
     before = count_concepts(manifest, kept_only=True)
-    quotas = Counter({c: st.s_count for c, st in before.items()})
+    # Every candidate's phrases are in before: it is a kept hard negative.
+    quotas = {c: st.s_count for c, st in before.items()}
+    gens = manifest.generations
 
     candidates = manifest.negative_pools()
 
@@ -156,7 +162,7 @@ def calibrate_filter(manifest: DatasetManifest) -> tuple[DatasetManifest, Calibr
     )
 
     pending = {key: iter(sorted(candidates[key], key=lambda i: (
-        _candidate_sort_key(manifest.generations[i].text), i))) for key in parents}
+        _candidate_sort_key(gens[i].text), i))) for key in parents}
     decisions: dict[int, bool] = {}
     kept_any = True
     # A pass that keeps nothing has scanned every queue to its end.
@@ -164,12 +170,17 @@ def calibrate_filter(manifest: DatasetManifest) -> tuple[DatasetManifest, Calibr
         kept_any = False
         for key in parents:
             for idx in pending[key]:
-                need = Counter(ph.surface for ph in manifest.generations[idx].verb_phrases)
-                decisions[idx] = all(quotas[ph] >= n for ph, n in need.items())
+                # Spend one quota per listed phrase; a phrase listed twice
+                # spends two. Kept iff no quota went below zero, else refunded.
+                need = [*map(_surface, gens[idx].verb_phrases)]
+                for ph in need:
+                    quotas[ph] -= 1
+                decisions[idx] = min(map(quotas.__getitem__, need), default=0) >= 0
                 if decisions[idx]:
-                    quotas.subtract(need)
                     kept_any = True
                     break
+                for ph in need:
+                    quotas[ph] += 1
 
     filtered = set_kept_flags(manifest, decisions)
     # Every kept hard negative was a candidate and spent its quota.

@@ -4,6 +4,21 @@ A manifest is one UTF-8, LF-terminated JSONL file. Every line is a record
 tagged with a ``record`` field: one header, then videos, captions and
 generations. Caption and generation payloads mirror the documented line
 schemas; ordering inside the file is preserved by load/save round trips.
+
+save_manifest writes each line as ``json.dumps(record, ensure_ascii=False)``
+would: ``", "`` between members, ``": "`` after keys, non-ASCII characters
+kept as they are (json's escapes for quotes, backslashes and control
+characters only), ``true``/``false`` for ``kept``, and the keys in this
+order:
+
+  {"record": "header", "schema_version": 1}
+  {"record": "video", "video_id": ..., "split": ...}
+  {"record": "caption", "video_id": ..., "text": ..., "split": ..., "verb_phrases": [...]}
+  {"record": "generation", "parent_video_id": ..., "parent_caption": ..., "text": ...,
+   "kind": ..., "backend": ..., "verb_phrases": [...], "kept": true}
+
+(the generation record is one line). Ids, texts, kinds, backends, splits and
+phrases are JSON strings; a caption's split is its video's.
 """
 
 from __future__ import annotations
@@ -13,6 +28,8 @@ import os
 import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -132,26 +149,30 @@ class DatasetManifest:
                 )
 
 
-def _phrases_to_json(phrases: tuple[VerbPhrase, ...]) -> list[str]:
-    return [p.surface for p in phrases]
-
-
-def _phrases_from_json(raw, known: dict[str, VerbPhrase]) -> tuple[VerbPhrase, ...]:
-    """The phrases of one record; known holds the surfaces already validated."""
+def _phrases_from_json(raw, known: dict) -> tuple[VerbPhrase, ...]:
+    """The phrases of one record. known maps each surface validated so far to
+    its phrase, and each list of surfaces read so far, as a tuple, to its
+    phrases, which the records share."""
+    if type(raw) is list:
+        try:
+            return known[tuple(raw)]
+        except (KeyError, TypeError):
+            pass  # a list not seen yet, or an entry that is not a surface
     if not isinstance(raw, list) or not all(isinstance(p, str) for p in raw):
         raise CorpusError("verb_phrases must be a list of strings")
-    return tuple(known.get(p) or known.setdefault(p, VerbPhrase(p)) for p in raw)
+    phrases = tuple(known.get(p) or known.setdefault(p, VerbPhrase(p)) for p in raw)
+    known[tuple(raw)] = phrases
+    return phrases
 
 
 def _require(obj: dict, keys: tuple[str, ...]) -> None:
-    if len(obj) == len(keys) + 1 and "record" in obj and all(map(obj.__contains__, keys)):
-        return
+    """Raise naming the missing fields, else the unknown ones; obj holds a
+    "record" tag and does not hold exactly keys besides it."""
     missing = [k for k in keys if k not in obj]
     if missing:
         raise CorpusError(f"missing fields {missing}")
     extra = sorted(set(obj) - set(keys) - {"record"})
-    if extra:
-        raise CorpusError(f"unknown fields {extra}")
+    raise CorpusError(f"unknown fields {extra}")
 
 
 def read_jsonl(path: str | Path, parse: Parser | dict[str, Parser],
@@ -167,13 +188,20 @@ def read_jsonl(path: str | Path, parse: Parser | dict[str, Parser],
     """
     path = Path(path)
     by_tag = parse if isinstance(parse, dict) else None
+    raw_decode = json.JSONDecoder().raw_decode
     records = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            try:
+                obj, end = raw_decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(line):
+                # Not one JSON value: json.loads raises with its own wording.
+                obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise error("expected a JSON object")
             if by_tag is not None:
@@ -212,90 +240,97 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     write_atomic(path, body.encode("utf-8"))
 
 
+_surface = attrgetter("surface")
+
+
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    """Write the manifest as JSONL with a fixed key order (round-trip stable)."""
+    """Write the manifest in the line format of the module docstring,
+    atomically; load_manifest reads it back."""
     manifest.validate()
-    split_of = {v.video_id: v.split for v in manifest.videos}
-    lines = [{"record": "header", "schema_version": manifest.schema_version}]
-    for v in manifest.videos:
-        lines.append({"record": "video", "video_id": v.video_id, "split": v.split})
-    for c in manifest.captions:
-        lines.append(
-            {
-                "record": "caption",
-                "video_id": c.video_id,
-                "text": c.text,
-                "split": split_of[c.video_id],
-                "verb_phrases": _phrases_to_json(c.verb_phrases),
-            }
-        )
-    for g in manifest.generations:
-        lines.append(
-            {
-                "record": "generation",
-                "parent_video_id": g.parent_video_id,
-                "parent_caption": g.parent_caption,
-                "text": g.text,
-                "kind": g.kind,
-                "backend": g.backend,
-                "verb_phrases": _phrases_to_json(g.verb_phrases),
-                "kept": g.kept,
-            }
-        )
-    write_jsonl(path, lines)
+    q = encode_basestring  # the string escaper of json.dumps(ensure_ascii=False)
+    split_of = {v.video_id: q(v.split) for v in manifest.videos}
+    lines = [f'{{"record": "header", "schema_version": {json.dumps(manifest.schema_version)}}}\n']
+    lines += [f'{{"record": "video", "video_id": {q(v.video_id)}, "split": {q(v.split)}}}\n'
+              for v in manifest.videos]
+    lines += [f'{{"record": "caption", "video_id": {q(c.video_id)}, "text": {q(c.text)}, '
+              f'"split": {split_of[c.video_id]}, '
+              f'"verb_phrases": [{", ".join(map(q, map(_surface, c.verb_phrases)))}]}}\n'
+              for c in manifest.captions]
+    lines += [f'{{"record": "generation", "parent_video_id": {q(g.parent_video_id)}, '
+              f'"parent_caption": {q(g.parent_caption)}, "text": {q(g.text)}, '
+              f'"kind": {q(g.kind)}, "backend": {q(g.backend)}, '
+              f'"verb_phrases": [{", ".join(map(q, map(_surface, g.verb_phrases)))}], '
+              f'"kept": {"true" if g.kept else "false"}}}\n'
+              for g in manifest.generations]
+    write_atomic(path, "".join(lines).encode("utf-8"))
 
 
-def _require_tokens(text: str, what: str) -> None:
-    # The encoders cannot embed a text without tokens; reject it at load time
-    # rather than mid-training. Verb phrases are normalized, so never empty.
-    if not has_tokens(text):
-        raise CorpusError(f"{what} has no tokens: {text!r}")
-
-
-_GENERATION_FIELDS = ("parent_video_id", "parent_caption", "text", "kind",
-                      "backend", "verb_phrases", "kept")
+# Record tag -> the fields of its line besides "record", in the documented order.
+_FIELDS = {
+    "header": ("schema_version",),
+    "video": ("video_id", "split"),
+    "caption": ("video_id", "text", "split", "verb_phrases"),
+    "generation": ("parent_video_id", "parent_caption", "text", "kind", "backend",
+                   "verb_phrases", "kept"),
+}
+_KEYS = {tag: {"record", *fields} for tag, fields in _FIELDS.items()}
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse and validate a manifest file; errors name the offending line.
 
-    Caption and generation texts must have at least one token.
+    Caption and generation texts must have at least one token: the encoders
+    cannot embed a text without, so it is rejected here rather than
+    mid-training. Verb phrases are normalized, so never empty.
     """
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"manifest not found: {path}")
     manifest = DatasetManifest()
-    phrases: dict[str, VerbPhrase] = {}
+    phrases: dict = {}  # see _phrases_from_json
     split_of: dict[str, str] = {}
     caption_splits: dict[str, str] = {}
     headers: list[dict] = []
 
     def header(obj):
-        _require(obj, ("schema_version",))
+        if obj.keys() != _KEYS["header"]:
+            _require(obj, _FIELDS["header"])
         if obj["schema_version"] != SCHEMA_VERSION:
             raise CorpusError(f"unsupported schema_version {obj['schema_version']!r}")
         headers.append(obj)
 
     def video(obj):
-        _require(obj, ("video_id", "split"))
+        if obj.keys() != _KEYS["video"]:
+            _require(obj, _FIELDS["video"])
         manifest.videos.append(VideoRecord(obj["video_id"], obj["split"]))
         split_of[obj["video_id"]] = obj["split"]
+        # The line format holds ids and texts as JSON strings only.
+        if not isinstance(obj["video_id"], str):
+            raise CorpusError(f"video_id must be a string, got {obj['video_id']!r}")
 
     def caption(obj):
-        _require(obj, ("video_id", "text", "split", "verb_phrases"))
-        _require_tokens(obj["text"], "caption text")
+        if obj.keys() != _KEYS["caption"]:
+            _require(obj, _FIELDS["caption"])
+        text = obj["text"]
+        if not has_tokens(text):
+            raise CorpusError(f"caption text has no tokens: {text!r}")
         manifest.captions.append(CaptionRecord(
-            obj["video_id"], obj["text"], _phrases_from_json(obj["verb_phrases"], phrases)))
+            obj["video_id"], text, _phrases_from_json(obj["verb_phrases"], phrases)))
         caption_splits[obj["video_id"]] = obj["split"]
 
     def generation(obj):
-        _require(obj, _GENERATION_FIELDS)
-        _require_tokens(obj["text"], "generation text")
+        if obj.keys() != _KEYS["generation"]:
+            _require(obj, _FIELDS["generation"])
+        text = obj["text"]
+        if not has_tokens(text):
+            raise CorpusError(f"generation text has no tokens: {text!r}")
         # The parent pair keys the negative pools: reject an unhashable one here.
         hash((obj["parent_video_id"], obj["parent_caption"]))
         manifest.generations.append(GeneratedCaption(
-            obj["parent_video_id"], obj["parent_caption"], obj["text"], obj["kind"],
+            obj["parent_video_id"], obj["parent_caption"], text, obj["kind"],
             obj["backend"], _phrases_from_json(obj["verb_phrases"], phrases), bool(obj["kept"])))
+        if not isinstance(obj["parent_caption"], str):
+            raise CorpusError(f"parent_caption must be a string, got {obj['parent_caption']!r}")
 
     read_jsonl(path, {"header": header, "video": video, "caption": caption,
                       "generation": generation}, CorpusError)

@@ -9,12 +9,13 @@ and auxiliaries (is, are, has, ...) are never treated as action verbs.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import DatasetManifest
+from .corpus import DatasetManifest, VerbPhrase
 from .text import normalize_text
 
 VOWELS = "aeiou"
@@ -225,6 +226,22 @@ class VerbRecognizer:
             return replacement
 
 
+class _Without(Sequence):
+    """A sorted tuple with the entry at one position left out, read in place."""
+
+    __slots__ = ("items", "cut")
+
+    def __init__(self, items: tuple[str, ...], cut: int):
+        self.items, self.cut = items, cut
+
+    def __len__(self) -> int:
+        return len(self.items) - 1
+
+    def __getitem__(self, j):
+        j = range(len(self))[j]  # a tuple's IndexError and negative indices
+        return self.items[j + (j >= self.cut)]
+
+
 @dataclass(frozen=True)
 class LexiconResources:
     """Lexical resources for the rule-based generation backends."""
@@ -236,13 +253,24 @@ class LexiconResources:
     # lazily by swap_options.
     _swap_table: dict[str | None, tuple[str, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # Recognized verb token -> its phrase; filled lazily by verb_phrases, so
+    # it holds at most the recognizer's surfaces.
+    _phrase_table: dict[str, VerbPhrase] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
-    def swap_options(self, core: str) -> tuple[str, ...]:
+    def verb_phrases(self, tokens: Iterable[str]) -> tuple[VerbPhrase, ...]:
+        """One single-verb phrase per recognized token, in token order."""
+        table = self._phrase_table
+        return tuple(table.get(t) or table.setdefault(t, VerbPhrase(t))
+                     for t in self.recognizer.verb_tokens(tokens))
+
+    def swap_options(self, core: str) -> Sequence[str]:
         """Corpus verbs inflected like ``core``, sorted, without ``core``.
 
         Equals ``sorted({inflect_like(e, core) for e in verb_corpus} - {core})``.
         That set depends on ``core`` only through its inflection tag, so it is
-        built once per tag and ``core`` is cut out by bisection.
+        built once per tag; ``core`` is found by bisection and left out by a
+        view rather than a copy of the table.
         """
         analyzed = self.recognizer.analyze(core)
         tag = analyzed[1] if analyzed else None
@@ -253,7 +281,7 @@ class LexiconResources:
             self._swap_table[tag] = surfaces
         i = bisect_left(surfaces, core)
         if i < len(surfaces) and surfaces[i] == core:
-            return surfaces[:i] + surfaces[i + 1:]
+            return _Without(surfaces, i)
         return surfaces
 
     @classmethod

@@ -180,7 +180,7 @@ def _softmax_rows(x: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 
 def _masked_nce(sims: np.ndarray, pos: np.ndarray, negs: np.ndarray,
-                cfg: LossConfig) -> np.ndarray:
+                cfg: LossConfig, nce_mode: str) -> np.ndarray:
     """Per-row losses -p/sigma + log(denominator); sims becomes d/dsims.
 
     Row r's positive is column pos[r] and its negatives are the columns where
@@ -192,7 +192,7 @@ def _masked_nce(sims: np.ndarray, pos: np.ndarray, negs: np.ndarray,
     off = ~negs
     sims /= cfg.sigma
     p = sims[rows, pos]
-    hardneg = cfg.nce_mode == "hardneg_nce"
+    hardneg = nce_mode == "hardneg_nce"
     if hardneg:
         # Negative j enters as n * r_j * e^{s_j/sigma}, r = softmax(beta*s/sigma).
         r = cfg.beta * sims
@@ -215,29 +215,30 @@ def _masked_nce(sims: np.ndarray, pos: np.ndarray, negs: np.ndarray,
     return loss
 
 
-def _contrast(anchors, candidates, pos, negs, cfg: LossConfig):
-    """Mean masked InfoNCE of the anchor rows with d/danchors, d/dcandidates."""
+def _contrast(anchors, candidates, pos, negs, cfg: LossConfig, nce_mode: str):
+    """Mean masked InfoNCE of the anchor rows with d/danchors, d/dcandidates,
+    under nce_mode with cfg's sigma, alpha and beta."""
     dsims = anchors @ candidates.T
-    loss = _masked_nce(dsims, pos, negs, cfg).mean()
+    loss = _masked_nce(dsims, pos, negs, cfg, nce_mode).mean()
     dsims /= anchors.shape[0]
     return float(loss), dsims @ candidates, dsims.T @ anchors
 
 
-def _in_batch(anchors, candidates, cfg: LossConfig):
+def _in_batch(anchors, candidates, cfg: LossConfig, nce_mode: str):
     """_contrast with row i's positive at column i, every other column on."""
     n = anchors.shape[0]
-    return _contrast(anchors, candidates, np.arange(n), ~np.eye(n, dtype=bool), cfg)
+    return _contrast(anchors, candidates, np.arange(n), ~np.eye(n, dtype=bool), cfg, nce_mode)
 
 
 def info_nce_t2v(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     """Caption anchors against the batch videos."""
-    total, gc, gv = _in_batch(batch.caption, batch.video, cfg)
+    total, gc, gv = _in_batch(batch.caption, batch.video, cfg, cfg.nce_mode)
     return LossOutput(total, {"t2v": total}, LossGrads(gv, gc), float(np.log(batch.batch_size)))
 
 
 def info_nce_v2t(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     """Video anchors against the batch captions."""
-    total, gv, gc = _in_batch(batch.video, batch.caption, cfg)
+    total, gv, gc = _in_batch(batch.video, batch.caption, cfg, cfg.nce_mode)
     return LossOutput(total, {"v2t": total}, LossGrads(gv, gc), float(np.log(batch.batch_size)))
 
 
@@ -254,7 +255,7 @@ def _v2t_with_negatives(batch: BatchTensors, cfg: LossConfig, term: str,
     if own_only:
         negs[:, B:] = np.repeat(idx, counts) == idx[:, None]
     uniform = np.mean(np.log(B + counts)) if own_only else np.log(B + counts.sum())
-    total, gv, gc = _contrast(batch.video, candidates, idx, negs, cfg)
+    total, gv, gc = _contrast(batch.video, candidates, idx, negs, cfg, cfg.nce_mode)
     hard = StackedRows(gc[B:], batch.hard.offsets)
     return LossOutput(total, {term: total}, LossGrads(gv, gc[:B], hard), float(uniform))
 
@@ -285,19 +286,18 @@ def loss_verb_phrase(batch: BatchTensors, cfg: LossConfig) -> LossOutput:
     M = members.size
     if M == 0:
         return LossOutput(0.0, {"verb_phrase": 0.0}, grads)
-    base = LossConfig(sigma=cfg.sigma)
     both = cfg.verb_phrase_direction == "both"
     scale = 0.5 if both else 1.0
     V = batch.video[members]
     T = batch.verb[members]
-    total, gv, gt = _in_batch(V, T, base)
+    total, gv, gt = _in_batch(V, T, cfg, "standard")
     grads.video[members] = scale * gv
     grads.verb[members] = scale * gt
     total *= scale
     if both:
         negs = np.ones((M, batch.batch_size), dtype=bool)
         negs[np.arange(M), members] = False
-        total2, gt2, gv2 = _contrast(T, batch.video, members, negs, base)
+        total2, gt2, gv2 = _contrast(T, batch.video, members, negs, cfg, "standard")
         grads.verb[members] += scale * gt2
         grads.video += scale * gv2
         total += scale * total2

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,13 +93,9 @@ def split_numbered(raw: str) -> list[str]:
     return out
 
 
-def _phrases(tokens: list[str], resources: LexiconResources) -> tuple[VerbPhrase, ...]:
-    return tuple(VerbPhrase(tok) for tok in resources.recognizer.verb_tokens(tokens))
-
-
 def rule_phrases(text: str, resources: LexiconResources) -> tuple[VerbPhrase, ...]:
     """Single-verb phrases found by the closed-class tagger, in token order."""
-    return _phrases(tokenize(text), resources)
+    return resources.verb_phrases(tokenize(text))
 
 
 def _first_seen(candidates: list[str], *exclude: str):
@@ -125,7 +122,7 @@ def filter_hard_negative_candidates(
     parent_verbs.update(resources.recognizer.verb_tokens(tokenize(parent.text)))
     out = []
     for cand, tokens in _first_seen(candidates):
-        phrases = _phrases(tokens, resources)
+        phrases = resources.verb_phrases(tokens)
         if parent_verbs.isdisjoint(p.surface for p in phrases):
             out.append((cand, phrases))
     return out
@@ -167,9 +164,10 @@ _TOKEN_SHAPE = re.compile(r"^(\W*)(.*?)(\W*)$", re.DOTALL)
 class _VerbSite:
     index: int
     prefix: str
-    core: str
+    core: str  # lowercased
     suffix: str
-    options: tuple[str, ...]
+    capitalized: bool
+    options: Sequence[str]
 
 
 def _verb_sites(
@@ -178,11 +176,10 @@ def _verb_sites(
     words = caption.text.split()
     sites = []
     for i, word in enumerate(words):
-        m = _TOKEN_SHAPE.match(word)
-        prefix, core, suffix = m.group(1), m.group(2), m.group(3)
+        prefix, core, suffix = _TOKEN_SHAPE.match(word).groups()
         low = core.lower()
         if core and resources.recognizer.is_verb(low):
-            sites.append(_VerbSite(i, prefix, low, suffix, tuple(options_for(low))))
+            sites.append(_VerbSite(i, prefix, low, suffix, core[:1].isupper(), options_for(low)))
     if not sites:
         raise CaptionSkip(f"no verb detected in caption for video {caption.video_id!r}")
     return words, sites
@@ -191,8 +188,7 @@ def _verb_sites(
 def _substitute(words: list[str], sites: list[_VerbSite], picks: list[str]) -> str:
     out = list(words)
     for site, pick in zip(sites, picks):
-        original_core = _TOKEN_SHAPE.match(words[site.index]).group(2)
-        if original_core[:1].isupper():
+        if site.capitalized:
             pick = pick.capitalize()
         out[site.index] = f"{site.prefix}{pick}{site.suffix}"
     return " ".join(out)
@@ -206,17 +202,17 @@ def _rule_rewrites(
     if cfg.backend == "random_verb":
         options_for = resources.swap_options
     else:  # antonym_verb
-        def options_for(core: str) -> list[str]:
+        def options_for(core: str) -> tuple[str, ...]:
             antonyms = resources.antonym_map.get(core)
             if antonyms is None:
                 analyzed = recognizer.analyze(core)
                 if analyzed:
                     antonyms = resources.antonym_map.get(analyzed[0])
             if not antonyms:
-                return []
+                return ()
             opts = {recognizer.inflect_like(a, core) for a in antonyms}
             opts.discard(core)
-            return sorted(opts)
+            return tuple(sorted(opts))
 
     words, sites = _verb_sites(caption, resources, options_for)
     if cfg.backend == "antonym_verb" and not any(s.options for s in sites):
@@ -239,7 +235,7 @@ def _cloze_fills(caption: CaptionRecord, cfg: GenBackendConfig, resources: Lexic
     the client answers at most top_k_fill ranks per mask."""
     if client is None:
         raise TextGenError("t5_cloze backend requires a fill-mask client")
-    words, sites = _verb_sites(caption, resources, lambda core: [])
+    words, sites = _verb_sites(caption, resources, lambda core: ())
     masked = list(words)
     for s in sites:
         masked[s.index] = f"{s.prefix}{MASK_TOKEN}{s.suffix}"
@@ -286,7 +282,7 @@ def generate_positives(
     raw = _completions(client, prompt, POSITIVE_DECODE)
     if not raw:
         log.warning("no positive candidates for video %r", caption.video_id)
-    kept = [(cand, _phrases(tokens, resources))
+    kept = [(cand, resources.verb_phrases(tokens))
             for cand, tokens in _first_seen(raw, normalize_text(caption.text))]
     return _records(caption, "positive_paraphrase", "llm_completion",
                     kept[: cfg.candidates_per_caption])

@@ -2,15 +2,19 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from verbfocus.calibration import (
+    CalibrationReport,
+    ConceptRow,
     ConceptStats,
     RatioUndefined,
     VARIANT_FROM_LOSS,
+    _candidate_sort_key,
     calibrate_filter,
     compute_ratio,
     count_concepts,
@@ -22,6 +26,7 @@ from verbfocus.corpus import (
     GeneratedCaption,
     VerbPhrase,
     VideoRecord,
+    set_kept_flags,
 )
 
 from conftest import random_manifest
@@ -272,3 +277,78 @@ def test_calibrate_filter_pinned_digests():
         "544a6bc4c260adc07c9b77b438beae61b667f836a4b03b89f01cf74097cc51ac")
     assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest() == (
         "758931d119a3b1c7f1c5f389fa77cf5a6b4a1dcdb3fcac57d05f8a751e309289")
+
+
+def reference_calibrate_filter(manifest):
+    """calibrate_filter as it was written with one Counter of needs per
+    scanned candidate, kept as the reference for its quota loop."""
+    before = count_concepts(manifest, kept_only=True)
+    quotas = Counter({c: st_.s_count for c, st_ in before.items()})
+    candidates = manifest.negative_pools()
+    caption_order = {}
+    for pos, cap in enumerate(manifest.captions):
+        caption_order.setdefault((cap.video_id, cap.text), pos)
+    parents = sorted(candidates, key=lambda key: (
+        caption_order.get(key, len(manifest.captions)), min(candidates[key])))
+    pending = {key: iter(sorted(candidates[key], key=lambda i: (
+        _candidate_sort_key(manifest.generations[i].text), i))) for key in parents}
+    decisions = {}
+    kept_any = True
+    while kept_any:
+        kept_any = False
+        for key in parents:
+            for idx in pending[key]:
+                need = Counter(ph.surface for ph in manifest.generations[idx].verb_phrases)
+                decisions[idx] = all(quotas[ph] >= n for ph, n in need.items())
+                if decisions[idx]:
+                    quotas.subtract(need)
+                    kept_any = True
+                    break
+    filtered = set_kept_flags(manifest, decisions)
+    rows = [ConceptRow(c, st_.s_count, st_.g_count, st_.s_count - quotas[c])
+            for c, st_ in sorted(before.items())]
+    kept_total = sum(decisions.values())
+    per_video = Counter(manifest.generations[i].parent_video_id
+                        for i, keep in decisions.items() if keep)
+    train_videos = {cap.video_id for cap in filtered.captions_for_split("train")}
+    hist = Counter(per_video[vid] for vid in train_videos)
+    return filtered, CalibrationReport(rows, len(decisions), kept_total,
+                                       len(decisions) - kept_total, dict(hist))
+
+
+# Caption phrases p0-p2; g0 and g1 occur only in generations.
+PHRASES = ("p0", "p1", "p2", "g0", "g1")
+
+
+@st.composite
+def quota_manifests(draw):
+    n = draw(st.integers(1, 4))
+    videos = [VideoRecord(f"v{i}", draw(st.sampled_from(("train", "train", "val"))))
+              for i in range(n)]
+    phrase_list = st.lists(st.sampled_from(PHRASES[:3]), max_size=3)
+    captions = [CaptionRecord(f"v{i}", f"caption {i}", tuple(map(VerbPhrase, draw(phrase_list))))
+                for i in range(n)]
+    # Multi-phrase negatives, one phrase listed twice, G-only and phrase-free
+    # ones, paraphrases, pre-cleared flags and a parent with no caption.
+    gen_phrases = st.lists(st.sampled_from(PHRASES), max_size=3)
+    generations = []
+    for _ in range(draw(st.integers(0, 14))):
+        i = draw(st.integers(0, n - 1))
+        parent = draw(st.sampled_from((f"caption {i}", "no such caption")))
+        generations.append(GeneratedCaption(
+            f"v{i}", parent, f"negative {draw(st.integers(0, 5))}",
+            draw(st.sampled_from(("hard_negative", "hard_negative", "positive_paraphrase"))),
+            "random_verb", tuple(map(VerbPhrase, draw(gen_phrases))),
+            draw(st.sampled_from((True, True, False)))))
+    return DatasetManifest(videos, captions, generations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=quota_manifests())
+def test_calibrate_filter_matches_the_counter_reference(m):
+    filtered, report = calibrate_filter(m)
+    ref, ref_report = reference_calibrate_filter(m)
+    assert [g.kept for g in filtered.generations] == [g.kept for g in ref.generations]
+    assert report.to_dict() == ref_report.to_dict()
+    again, _ = calibrate_filter(filtered)
+    assert [g.kept for g in again.generations] == [g.kept for g in filtered.generations]

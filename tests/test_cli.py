@@ -201,6 +201,15 @@ def test_pipeline_gen_calibrate_train_eval_report(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_report_summarizes_the_first_and_the_last_metrics_row(tmp_path, capsys):
+    rows = [{"epoch": e, "total": 3.0 - e} for e in range(3)]
+    (tmp_path / "metrics.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary == {"train": {"epochs": 3, "first": rows[0], "last": rows[-1]}}
+    capsys.readouterr()
+
+
 def test_missing_artifact_errors(tmp_path, capsys):
     manifest_path = tmp_path / "manifest.jsonl"
     write_corpus(manifest_path)

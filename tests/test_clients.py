@@ -13,7 +13,7 @@ import pytest
 
 from verbfocus.cli import main
 from verbfocus.clients import (ClientError, DecodeParams, GenerationClient,
-                               ReplayTransport, final_input_line)
+                               ReplayTransport, final_input_line, with_retries)
 from verbfocus.corpus import CaptionRecord, DatasetManifest, VideoRecord, save_manifest
 
 DECODE = DecodeParams()
@@ -133,6 +133,25 @@ def test_transport_failure_after_retries_is_a_client_error():
     client = GenerationClient(FakeTransport("http://a.test", refuse), max_retries=0)
     with pytest.raises(ClientError, match="after 1 attempts: refused"):
         client.complete(PROMPT, DECODE)
+
+
+def test_each_retry_doubles_the_delay():
+    failures = [ConnectionError("refused")] * 3
+
+    def flaky():
+        if failures:
+            raise failures.pop()
+        return {"ok": True}
+
+    sleeps = []
+    assert with_retries(flaky, max_retries=3, sleep=sleeps.append) == {"ok": True}
+    assert sleeps == [0.5, 1.0, 2.0]
+
+    failures[:] = [ConnectionError("refused")] * 3
+    sleeps.clear()
+    with pytest.raises(ClientError, match="after 3 attempts: refused"):
+        with_retries(flaky, max_retries=2, sleep=sleeps.append)
+    assert sleeps == [0.5, 1.0]
 
 
 # -- transcript replay ------------------------------------------------------

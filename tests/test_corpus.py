@@ -5,13 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verbfocus import corpus
-from verbfocus.corpus import (CaptionRecord, CorpusError, DatasetManifest,
-                              GeneratedCaption, SynthSpec, VerbPhrase,
-                              VideoRecord, load_manifest, make_synthetic_corpus,
+from verbfocus.corpus import (GENERATION_BACKENDS, GENERATION_KINDS, SPLITS, CaptionRecord,
+                              CorpusError, DatasetManifest, GeneratedCaption, SynthSpec,
+                              VerbPhrase, VideoRecord, load_manifest, make_synthetic_corpus,
                               save_manifest, set_kept_flags,
                               synth_context_tokens, synth_verb_phrase, write_jsonl)
+from verbfocus.text import normalize_text
 
 from conftest import random_manifest
 
@@ -170,6 +173,61 @@ def test_write_jsonl_lines_are_json_dumps(tmp_path):
     write_jsonl(path, records)
     expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+# Characters json escapes (quotes, backslashes, controls) or leaves as they
+# are (line and paragraph separators, NEL, BOM, non-BMP), mixed into any text.
+TRICKY = '"\\\x00\x01\x08\t\n\r\x1f\x7f\x85\u2028\u2029\ufeff\U0001f600\U00010428/'
+any_text = st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from(TRICKY),
+                   max_size=8)
+# A text with a token, as load_manifest requires of caption and generation texts.
+token_text = st.tuples(any_text, st.sampled_from(["cat", "\u00e9t\u00e9", "\U00010428"]),
+                       any_text).map("".join)
+phrase_lists = st.lists(any_text.map(normalize_text).filter(bool).map(VerbPhrase), max_size=2)
+
+
+@st.composite
+def tricky_manifests(draw):
+    ids = draw(st.lists(any_text.filter(bool), min_size=1, max_size=3, unique=True))
+    videos = [VideoRecord(vid, draw(st.sampled_from(SPLITS))) for vid in ids]
+    captions = [CaptionRecord(draw(st.sampled_from(ids)), draw(token_text),
+                              tuple(draw(phrase_lists)))
+                for _ in range(draw(st.integers(0, 3)))]
+    generations = [GeneratedCaption(draw(st.sampled_from(ids)), draw(any_text), draw(token_text),
+                                    draw(st.sampled_from(GENERATION_KINDS)),
+                                    draw(st.sampled_from(GENERATION_BACKENDS)),
+                                    tuple(draw(phrase_lists)), draw(st.booleans()))
+                   for _ in range(draw(st.integers(0, 4)))]
+    return DatasetManifest(videos, captions, generations)
+
+
+def manifest_dicts(m: DatasetManifest) -> list[dict]:
+    """The records of the manifest as dicts, in the documented line order."""
+    split_of = {v.video_id: v.split for v in m.videos}
+    return [{"record": "header", "schema_version": m.schema_version},
+            *({"record": "video", "video_id": v.video_id, "split": v.split} for v in m.videos),
+            *({"record": "caption", "video_id": c.video_id, "text": c.text,
+               "split": split_of[c.video_id], "verb_phrases": [p.surface for p in c.verb_phrases]}
+              for c in m.captions),
+            *({"record": "generation", "parent_video_id": g.parent_video_id,
+               "parent_caption": g.parent_caption, "text": g.text, "kind": g.kind,
+               "backend": g.backend, "verb_phrases": [p.surface for p in g.verb_phrases],
+               "kept": g.kept} for g in m.generations)]
+
+
+@pytest.fixture(scope="module")
+def module_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("manifests")
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=tricky_manifests())
+def test_save_manifest_lines_are_json_dumps_of_the_documented_records(module_dir, m):
+    path = module_dir / "m.jsonl"
+    save_manifest(m, path)
+    expected = "".join(json.dumps(d, ensure_ascii=False) + "\n" for d in manifest_dicts(m))
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert load_manifest(path) == m
 
 
 def test_negative_pools_hold_kept_hard_negatives_in_generation_order():

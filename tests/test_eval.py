@@ -351,6 +351,16 @@ def test_subset_resample_protocol_is_seeded():
         subset_resample_protocol(enc, task, m=8, repeats=1, seed=0)
 
 
+def test_subset_resample_protocol_averages_each_metric_on_its_own():
+    """With m = C every subset is the whole task, so each mean is that metric."""
+    enc, task = zs_fixture()
+    whole = eval_zero_shot(enc, task)
+    assert 0 < whole.top1 < whole.top5 < 1
+    full = subset_resample_protocol(enc, task, m=7, repeats=3, seed=4)
+    assert full == pytest.approx({"top1": whole.top1, "top5": whole.top5,
+                                  "average": whole.average}, abs=TOL)
+
+
 @pytest.mark.parametrize("m, repeats, message", [
     (3, 0, "subset repeats must be a positive integer"),
     (3, -1, "subset repeats must be a positive integer"),

@@ -72,6 +72,62 @@ def test_malformed_record_raises_the_loaders_error_with_its_line(tmp_path, loade
     assert type(excinfo.value) is errors[0]
 
 
+# Lines that are not one JSON value, or not an object: each names its line in
+# json.loads's own words, whatever the loader.
+NOT_ONE_OBJECT = [
+    ('{"record": "pair"} {"record": "pair"}', "invalid JSON (Extra data)"),
+    ('{"record": "pair"}x', "invalid JSON (Extra data)"),
+    ("7 8", "invalid JSON (Extra data)"),
+    ("7", "expected a JSON object"),
+    ('"a bare string"', "expected a JSON object"),
+    ("nope", "invalid JSON (Expecting value)"),
+    ('{"record": "pair", "text": "unterminated}',
+     "invalid JSON (Unterminated string starting at)"),
+    ('{"record": "pair", "text": "a\tb"}', "invalid JSON (Invalid control character at)"),
+    ('\ufeff{"record": "pair"}', "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+]
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@pytest.mark.parametrize("line,message", NOT_ONE_OBJECT)
+def test_a_line_that_is_not_one_object_keeps_json_loads_wording(tmp_path, loader, line,
+                                                                 message):
+    try:
+        json.loads(line)
+    except json.JSONDecodeError as e:
+        assert message == f"invalid JSON ({e.msg})"
+    load, name, errors = LOADERS[loader]
+    path = tmp_path / name
+    path.write_text(json.dumps(VALID[loader][0]) + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(errors[0]) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"{name}:2: {message}"
+
+
+# The manifest line format holds ids and parent captions as strings, which
+# save_manifest writes back; any other JSON value fails at its line.
+NOT_A_STRING = [
+    ('{"record": "video", "video_id": 7, "split": "train"}',
+     "video_id must be a string, got 7"),
+    ('{"record": "video", "video_id": "v0", "split": "train"}\n'
+     '{"record": "generation", "parent_video_id": "v0", "parent_caption": null, '
+     '"text": "a cat eating", "kind": "hard_negative", "backend": "random_verb", '
+     '"verb_phrases": [], "kept": true}',
+     "parent_caption must be a string, got None"),
+]
+
+
+@pytest.mark.parametrize("lines,message", NOT_A_STRING, ids=["video_id", "parent_caption"])
+def test_a_manifest_id_or_parent_caption_that_is_not_a_string_fails_at_its_line(
+        tmp_path, lines, message):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text('{"record": "header", "schema_version": 1}\n' + lines + "\n",
+                    encoding="utf-8")
+    with pytest.raises(CorpusError) as excinfo:
+        load_manifest(path)
+    assert str(excinfo.value) == f"manifest.jsonl:{lines.count(chr(10)) + 2}: {message}"
+
+
 # A check over the whole file names the file, like the line-level errors.
 FILE_LEVEL = [
     ("manifest",
